@@ -1,10 +1,10 @@
-//! Criterion bench of event-engine throughput (events/s): the inline engine
-//! vs the sharded engine at 1/2/4 workers, on a reduced-scale cut of the
-//! `engine` harness's 8-tenant MMPP-antagonist workload.
+//! Criterion bench of event-engine throughput (events/s) at 1/2/4
+//! accounting workers, on a reduced-scale cut of the `engine` harness's
+//! 8-tenant MMPP-antagonist workload.
 //!
 //! Throughput is reported in events (`Throughput::Elements`), so Criterion's
-//! elem/s figure *is* events/s — the same unit `BENCH_engine.json` records
-//! at full scale.
+//! elem/s figure *is* events/s — the unit the `engine` harness reports on
+//! stderr at full scale.
 
 use std::time::Duration;
 
@@ -16,7 +16,7 @@ use bam_sim::{engine, QueuePairPolicy};
 fn bench_engine_events(c: &mut Criterion) {
     let (config, tenants) = engine_workload(ENGINE_SEED, 6_000);
     let policy = QueuePairPolicy::Shared;
-    let events = engine::run_tenants(&config, &tenants, policy)
+    let events = engine::run_tenants_sharded(&config, &tenants, policy, 1)
         .overall
         .events;
 
@@ -26,9 +26,6 @@ fn bench_engine_events(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3))
         .throughput(Throughput::Elements(events));
-    group.bench_function("inline", |b| {
-        b.iter(|| std::hint::black_box(engine::run_tenants(&config, &tenants, policy)))
-    });
     for workers in [1usize, 2, 4] {
         group.bench_function(format!("sharded_{workers}w"), |b| {
             b.iter(|| {

@@ -8,7 +8,7 @@
 //! trace-event JSON (loadable in Perfetto or `chrome://tracing`),
 //! `--timeline-out <path>` to export the Optane run's full timeline
 //! document (windowed telemetry + per-resource blame decomposition), and
-//! `--workers N` to run on the sharded engine (default 1 = inline; the
+//! `--workers N` to set the engine's accounting workers (default 1; the
 //! output is bit-identical at every worker count).
 
 use bam_bench::breakdown_exp::{

@@ -1,13 +1,12 @@
-//! Engine-throughput sweep: inline vs sharded event engine (see
-//! `bam_bench::engine_exp`).
+//! Engine-throughput sweep: the event engine at 1/2/4 accounting workers
+//! (see `bam_bench::engine_exp`).
 //!
-//! Every sharded point is asserted bit-identical to the inline run before
-//! its throughput is reported. Stdout carries only deterministic fields
-//! (identical across runs and machines — CI double-runs this binary and
-//! diffs the output); the machine-dependent wall-clock figures go to stderr
-//! and, under `--json`, into `BENCH_engine.json`, where the drift gate
-//! checks the integer fields exactly and the wall-clock floats only against
-//! a very loose tolerance.
+//! Every point is asserted bit-identical to the single-worker run before its
+//! throughput is reported. Stdout and, under `--json`, `BENCH_engine.json`
+//! carry only deterministic fields (identical across runs and machines — CI
+//! double-runs this binary and diffs the output, and the drift gate checks
+//! the JSON like every other baseline); the machine-dependent wall-clock
+//! figures go to stderr only.
 //!
 //! Flags: `--requests <n>` overrides the per-steady-tenant request count,
 //! `--json` writes `BENCH_engine.json`.
@@ -37,12 +36,7 @@ fn main() {
         .iter()
         .map(|r| {
             vec![
-                r.engine.to_string(),
-                if r.workers == 0 {
-                    "-".to_string()
-                } else {
-                    r.workers.to_string()
-                },
+                r.workers.to_string(),
                 r.completed.to_string(),
                 r.events.to_string(),
                 r.p99_ns.to_string(),
@@ -51,31 +45,23 @@ fn main() {
         .collect();
     print_table(
         &format!(
-            "Engine equivalence: inline vs sharded on the 8-tenant antagonist workload \
+            "Engine equivalence across accounting workers on the 8-tenant antagonist workload \
              ({ENGINE_STEADY_TENANTS} steady tenants x {steady_requests} requests + MMPP \
-             antagonist; every sharded report asserted bit-identical to inline)"
+             antagonist; every report asserted bit-identical to the 1-worker run)"
         ),
-        &["Engine", "Workers", "Completed", "Events", "p99 (ns)"],
+        &["Workers", "Completed", "Events", "p99 (ns)"],
         &table,
     );
     println!(
         "\nCheck: every row completes the same requests through the same {} events to the \
-         same p99 — the engines differ only in wall-clock (stderr / BENCH_engine.json).",
+         same p99 — worker counts differ only in wall-clock (stderr).",
         rows[0].events
     );
     eprintln!("wall-clock (machine-dependent):");
     for r in &rows {
         eprintln!(
-            "  {:>7} workers={} {:.3}s {:>12.0} events/s speedup {:.2}x",
-            r.engine,
-            if r.workers == 0 {
-                "-".into()
-            } else {
-                r.workers.to_string()
-            },
-            r.wall_s,
-            r.events_per_sec,
-            r.speedup
+            "  workers={} {:.3}s {:>12.0} events/s speedup {:.2}x",
+            r.workers, r.wall_s, r.events_per_sec, r.speedup
         );
     }
     if json_mode() {
@@ -88,14 +74,11 @@ fn main() {
                 "rows",
                 json_array(rows.iter().map(|r| {
                     JsonObject::new()
-                        .str("engine", r.engine)
+                        .str("engine", "sharded")
                         .int("workers", r.workers as u64)
                         .int("completed", r.completed)
                         .int("events", r.events)
                         .int("p99_ns", r.p99_ns)
-                        .num("wall_s", r.wall_s)
-                        .num("events_per_sec", r.events_per_sec)
-                        .num("speedup", r.speedup)
                         .build()
                 })),
             )

@@ -6,7 +6,7 @@
 //! with in the mean — the dynamics behind the Fig 9 slowdowns. Pass `--json`
 //! to also write `BENCH_latency_cdf.json`, `--trace-out <path>` to export
 //! the Optane 1×-depth cell's spans as Chrome trace-event JSON, and
-//! `--workers N` to run on the sharded engine (default 1 = inline; the
+//! `--workers N` to set the engine's accounting workers (default 1; the
 //! output is bit-identical at every worker count).
 use bam_bench::jsonout::{emit_bench_json, json_array, json_mode, JsonObject};
 use bam_bench::{print_table, sim_exp, workers_arg};

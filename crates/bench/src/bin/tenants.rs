@@ -9,8 +9,8 @@
 //! <path>` to export the flagship bursty-shared run's full timeline
 //! document (windowed telemetry, per-resource blame decomposition, and
 //! per-tenant SLO outcomes — see `bam_bench::timeline_exp`), and
-//! `--workers N` to run the sweep on the sharded engine (default 1 =
-//! inline; the output is bit-identical at every worker count).
+//! `--workers N` to set the engine's accounting workers (default 1; the
+//! output is bit-identical at every worker count).
 use bam_bench::jsonout::{emit_bench_json, json_array, json_mode, JsonObject};
 use bam_bench::timeline_exp::{timeline_body, timeline_run, TIMELINE_SEED};
 use bam_bench::{print_table, sim_exp, timeline_out_path, workers_arg};

@@ -8,8 +8,8 @@
 //! vs. wait per stage, population and tail slice); the SLO table shows what
 //! it cost each tenant in violations and error-budget burn. Pass `--json`
 //! to also write `BENCH_timeline.json`, `--timeline-out <path>` to export
-//! the full timeline document to a file, and `--workers N` to run on the
-//! sharded engine (default 1 = inline; every output is bit-identical at
+//! the full timeline document to a file, and `--workers N` to set the
+//! engine's accounting workers (default 1; every output is bit-identical at
 //! any worker count).
 
 use bam_bench::jsonout::{emit_bench_json, json_mode};

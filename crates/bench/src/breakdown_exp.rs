@@ -70,9 +70,9 @@ pub fn breakdown_config(spec: &SsdSpec, seed: u64) -> SimConfig {
 }
 
 /// Runs one device's seeded breakdown workload, optionally recording every
-/// stage interval as span events (the `--trace-out` export). `workers`
-/// selects the engine (1 = inline, more = sharded); the report and spans
-/// are bit-identical at every count.
+/// stage interval as span events (the `--trace-out` export), on `workers`
+/// accounting workers; the report and spans are bit-identical at every
+/// count.
 pub fn breakdown_report(
     spec: &SsdSpec,
     seed: u64,
@@ -85,8 +85,8 @@ pub fn breakdown_report(
         in_flight: BREAKDOWN_IN_FLIGHT,
     };
     match recorder {
-        Some(rec) => engine::run_traced_with_workers(&config, workload, &reqs, workers, rec),
-        None => engine::run_with_workers(&config, workload, &reqs, workers),
+        Some(rec) => engine::run_sharded_traced(&config, workload, &reqs, workers, rec),
+        None => engine::run_sharded(&config, workload, &reqs, workers),
     }
 }
 
@@ -122,7 +122,7 @@ pub fn breakdown(seed: u64) -> Vec<(SsdSpec, SimReport, Vec<BreakdownRow>)> {
     breakdown_with_workers(seed, 1)
 }
 
-/// [`breakdown`] with an explicit engine worker count (1 = inline).
+/// [`breakdown`] with an explicit engine worker count.
 pub fn breakdown_with_workers(
     seed: u64,
     workers: usize,
@@ -147,7 +147,7 @@ pub fn traced_events(seed: u64) -> Vec<SpanEvent> {
     traced_events_with_workers(seed, 1)
 }
 
-/// [`traced_events`] with an explicit engine worker count (1 = inline).
+/// [`traced_events`] with an explicit engine worker count.
 pub fn traced_events_with_workers(seed: u64, workers: usize) -> Vec<SpanEvent> {
     let rec = SpanRecorder::new();
     breakdown_report(&SsdSpec::intel_optane_p5800x(), seed, Some(&rec), workers);

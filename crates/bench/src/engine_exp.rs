@@ -1,18 +1,16 @@
-//! Engine-throughput experiment: the sequential (inline) event engine vs the
-//! sharded engine across worker counts, on one workload.
+//! Engine-throughput experiment: the event engine across accounting-worker
+//! counts, on one workload.
 //!
 //! The workload is the multi-tenant sweep's hardest cell scaled up: eight
 //! tenants — seven steady Poisson streams plus the MMPP bursty antagonist —
 //! co-running on the queue-pair-starved 4-SSD Optane array under shared
 //! queue pairs. Open-loop tenants pre-schedule their whole arrival streams,
-//! which is exactly where the engines differ mechanically: the inline engine
-//! heap-loads every future arrival up front, while the sharded spine feeds
-//! arrivals from a time-sorted cursor and keeps its heap sized by in-flight
-//! work only (see DESIGN.md, "Parallel engine").
+//! which the spine feeds from a time-sorted cursor, keeping its heap sized
+//! by in-flight work only (see DESIGN.md, "Parallel engine").
 //!
 //! Every sweep point first asserts its `MultiTenantReport` is bit-identical
-//! to the inline run's — a throughput number from a wrong simulation is
-//! worthless — then reports events/s. Wall-clock fields are
+//! to the single-worker run's — a throughput number from a wrong simulation
+//! is worthless — then reports events/s. Wall-clock fields are
 //! machine-dependent; the deterministic fields (events, completions,
 //! histogram percentiles) are identical across runs and machines.
 
@@ -36,7 +34,8 @@ pub const ENGINE_STEADY_REQUESTS: u64 = 60_000;
 /// queue pair of the starved array).
 pub const ENGINE_STEADY_TENANTS: u32 = 7;
 
-/// Worker counts the sharded engine is swept over.
+/// Worker counts the engine is swept over; the first is the single-worker
+/// reference every other point must match.
 pub const ENGINE_WORKER_SWEEP: [usize; 3] = [1, 2, 4];
 
 /// Timed repetitions per sweep point; the fastest is reported. Minimum-of-N
@@ -45,12 +44,10 @@ pub const ENGINE_WORKER_SWEEP: [usize; 3] = [1, 2, 4];
 /// shard threads oversubscribe the cores.
 pub const ENGINE_REPS: usize = 3;
 
-/// One sweep point: one engine at one worker count on the common workload.
+/// One sweep point: the engine at one worker count on the common workload.
 #[derive(Debug, Clone)]
 pub struct EngineRow {
-    /// `"inline"` or `"sharded"`.
-    pub engine: &'static str,
-    /// Accounting workers (0 for the inline engine, which has none).
+    /// Accounting workers.
     pub workers: usize,
     /// Requests completed — identical at every point.
     pub completed: u64,
@@ -64,7 +61,8 @@ pub struct EngineRow {
     pub wall_s: f64,
     /// Events processed per wall-clock second (machine-dependent).
     pub events_per_sec: f64,
-    /// This point's events/s over the inline engine's (machine-dependent).
+    /// This point's events/s over the single-worker point's
+    /// (machine-dependent).
     pub speedup: f64,
 }
 
@@ -94,46 +92,46 @@ fn timed(run: impl Fn() -> MultiTenantReport) -> (MultiTenantReport, f64) {
     (report.expect("ENGINE_REPS > 0"), best)
 }
 
-fn row(engine: &'static str, workers: usize, report: &MultiTenantReport, wall_s: f64) -> EngineRow {
+fn row(workers: usize, report: &MultiTenantReport, wall_s: f64) -> EngineRow {
     EngineRow {
-        engine,
         workers,
         completed: report.overall.completed,
         events: report.overall.events,
         p99_ns: report.overall.histogram.value_at_quantile(0.99),
         wall_s,
         events_per_sec: report.overall.events as f64 / wall_s.max(1e-9),
-        speedup: 1.0, // filled in by the sweep, relative to the inline row
+        speedup: 1.0, // filled in by the sweep, relative to the first row
     }
 }
 
-/// The full sweep: the inline engine, then the sharded engine at each
-/// [`ENGINE_WORKER_SWEEP`] count, on the same workload.
+/// The full sweep: the engine at each [`ENGINE_WORKER_SWEEP`] count, on the
+/// same workload.
 ///
 /// # Panics
 ///
-/// Panics if any sharded report differs from the inline report in any field
-/// — bit-identity is the precondition for comparing their throughput.
+/// Panics if any report differs from the first point's in any field —
+/// bit-identity is the precondition for comparing their throughput.
 pub fn engine_sweep(seed: u64, steady_requests: u64) -> Vec<EngineRow> {
     let (config, tenants) = engine_workload(seed, steady_requests);
-    let policy = QueuePairPolicy::Shared;
+    let run =
+        |workers| engine::run_tenants_sharded(&config, &tenants, QueuePairPolicy::Shared, workers);
+    let [first, rest @ ..] = ENGINE_WORKER_SWEEP;
     // Untimed warm-up: page in the binary and prime the allocator so the
     // first timed point doesn't pay one-time costs the others skip.
-    engine::run_tenants(&config, &tenants, policy);
-    let (baseline, inline_wall) = timed(|| engine::run_tenants(&config, &tenants, policy));
-    let mut rows = vec![row("inline", 0, &baseline, inline_wall)];
-    for workers in ENGINE_WORKER_SWEEP {
-        let (report, wall) =
-            timed(|| engine::run_tenants_sharded(&config, &tenants, policy, workers));
+    run(first);
+    let (baseline, wall) = timed(|| run(first));
+    let mut rows = vec![row(first, &baseline, wall)];
+    for workers in rest {
+        let (report, wall) = timed(|| run(workers));
         assert_eq!(
             baseline, report,
-            "sharded engine at {workers} workers diverged from the inline engine"
+            "the engine at {workers} workers diverged from {first} worker"
         );
-        rows.push(row("sharded", workers, &report, wall));
+        rows.push(row(workers, &report, wall));
     }
-    let inline_eps = rows[0].events_per_sec;
+    let base_eps = rows[0].events_per_sec;
     for r in &mut rows {
-        r.speedup = r.events_per_sec / inline_eps;
+        r.speedup = r.events_per_sec / base_eps;
     }
     rows
 }
@@ -147,9 +145,10 @@ mod tests {
         // Reduced scale; the internal assert_eq! already enforces report
         // identity, so a completed sweep *is* the equivalence result.
         let rows = engine_sweep(ENGINE_SEED, 1_200);
-        assert_eq!(rows.len(), 1 + ENGINE_WORKER_SWEEP.len());
+        assert_eq!(rows.len(), ENGINE_WORKER_SWEEP.len());
         let first = &rows[0];
-        assert_eq!(first.engine, "inline");
+        assert_eq!(first.workers, 1);
+        assert_eq!(first.speedup, 1.0);
         assert!(first.events > first.completed, "several events per request");
         for r in &rows {
             assert_eq!(r.completed, first.completed);

@@ -35,7 +35,7 @@
 //! | [`misc_exp::figure15`] | Fig 15 (UVM vs ZeroCopy) |
 //! | [`misc_exp::vectoradd_eval`] | §5.4 (vectorAdd) |
 //! | [`recovery_exp::recovery_sweep`] | Crash-recovery sweep (journal replay; beyond the paper) |
-//! | [`engine_exp::engine_sweep`] | Engine throughput: inline vs sharded event engine (infrastructure; beyond the paper) |
+//! | [`engine_exp::engine_sweep`] | Engine throughput across accounting-worker counts (infrastructure; beyond the paper) |
 
 pub mod analytics_exp;
 pub mod breakdown_exp;
@@ -52,9 +52,8 @@ pub mod slo_exp;
 pub mod timeline_exp;
 
 /// The worker count following `--workers` in the process arguments, or 1
-/// (the inline engine) when absent — the event-driven binaries take this
-/// flag, and their default output stays byte-identical to the
-/// single-threaded engine's because `workers == 1` *is* the inline path.
+/// when absent — the event-driven binaries take this flag, and their output
+/// is byte-identical at every worker count.
 ///
 /// # Panics
 ///

@@ -65,9 +65,9 @@ pub fn latency_cdf(num_ssds: usize, access_bytes: u64, seed: u64) -> Vec<Latency
     latency_cdf_with_workers(num_ssds, access_bytes, seed, 1)
 }
 
-/// [`latency_cdf`] on the sharded engine with `workers` accounting workers
-/// (1 = the inline engine). The rows are bit-identical at every worker
-/// count — the flag only changes how the simulation is executed.
+/// [`latency_cdf`] with `workers` accounting workers. The rows are
+/// bit-identical at every worker count — the flag only changes
+/// how the simulation is executed.
 pub fn latency_cdf_with_workers(
     num_ssds: usize,
     access_bytes: u64,
@@ -97,12 +97,8 @@ pub fn latency_cdf_with_workers(
                 ),
             };
             let reqs = engine::uniform_reads(&config, SAMPLE_REQUESTS);
-            let report = engine::run_with_workers(
-                &config,
-                Workload::ClosedLoop { in_flight },
-                &reqs,
-                workers,
-            );
+            let report =
+                engine::run_sharded(&config, Workload::ClosedLoop { in_flight }, &reqs, workers);
             rows.push(LatencyCdfRow {
                 device: spec.name.clone(),
                 depth_multiplier: multiplier,
@@ -131,7 +127,7 @@ pub fn latency_cdf_traced_events(num_ssds: usize, access_bytes: u64, seed: u64) 
     latency_cdf_traced_events_with_workers(num_ssds, access_bytes, seed, 1)
 }
 
-/// [`latency_cdf_traced_events`] on the sharded engine (1 = inline); the
+/// [`latency_cdf_traced_events`] with `workers` accounting workers; the
 /// exported spans are bit-identical at every worker count.
 pub fn latency_cdf_traced_events_with_workers(
     num_ssds: usize,
@@ -155,7 +151,7 @@ pub fn latency_cdf_traced_events_with_workers(
     };
     let reqs = engine::uniform_reads(&config, SAMPLE_REQUESTS);
     let recorder = SpanRecorder::new();
-    engine::run_traced_with_workers(
+    engine::run_sharded_traced(
         &config,
         Workload::ClosedLoop {
             in_flight: qd as u32,
@@ -209,12 +205,13 @@ pub fn simulated_storage_time(
         (SAMPLE_REQUESTS as u128 * writes as u128 / total as u128) as u64
     };
     let reqs = engine::mixed_requests(&config, SAMPLE_REQUESTS, sample_writes);
-    let report = engine::run(
+    let report = engine::run_sharded(
         &config,
         Workload::ClosedLoop {
             in_flight: SWEEP_IN_FLIGHT,
         },
         &reqs,
+        1,
     );
     let seconds = total as f64 / report.throughput_per_s;
     (seconds, report)
@@ -355,8 +352,8 @@ pub fn tenant_matrix(seed: u64) -> Vec<TenantRow> {
     tenant_matrix_scaled(seed, TENANT_STEADY_REQUESTS)
 }
 
-/// [`tenant_matrix`] on the sharded engine with `workers` accounting
-/// workers (1 = the inline engine); rows are bit-identical at every count.
+/// [`tenant_matrix`] with `workers` accounting workers; rows are
+/// bit-identical at every count.
 pub fn tenant_matrix_with_workers(seed: u64, workers: usize) -> Vec<TenantRow> {
     tenant_matrix_scaled_with_workers(seed, TENANT_STEADY_REQUESTS, workers)
 }
@@ -386,8 +383,7 @@ pub fn tenant_matrix_scaled_with_workers(
             for num_tenants in [1usize, 2, 4, 8] {
                 for bursty in [false, true] {
                     let tenants = scenario_tenants(num_tenants, bursty, steady_requests);
-                    let report =
-                        engine::run_tenants_with_workers(&config, &tenants, policy, workers);
+                    let report = engine::run_tenants_sharded(&config, &tenants, policy, workers);
                     for (t, summary) in tenants.iter().zip(&report.tenants) {
                         let key = (spec.name.clone(), policy.label(), t.id);
                         // An n=1 run *is* the tenant's solo run (the engine
@@ -396,7 +392,7 @@ pub fn tenant_matrix_scaled_with_workers(
                             *solo_p99.entry(key).or_insert(summary.latency.p99_us)
                         } else {
                             *solo_p99.entry(key).or_insert_with(|| {
-                                engine::run_tenants_with_workers(
+                                engine::run_tenants_sharded(
                                     &config,
                                     std::slice::from_ref(t),
                                     policy,
@@ -496,11 +492,12 @@ mod tests {
             bursty_antagonist(TENANT_STEADY_REQUESTS),
         ];
         let measure = |policy: QueuePairPolicy| {
-            let solo = engine::run_tenants(&config, std::slice::from_ref(&tenants[0]), policy)
-                .tenants[0]
-                .latency
-                .p99_us;
-            let corun = engine::run_tenants(&config, &tenants, policy);
+            let solo =
+                engine::run_tenants_sharded(&config, std::slice::from_ref(&tenants[0]), policy, 1)
+                    .tenants[0]
+                    .latency
+                    .p99_us;
+            let corun = engine::run_tenants_sharded(&config, &tenants, policy, 1);
             let steady = corun.tenant(0).unwrap().latency.p99_us;
             interference_ratio(steady, solo)
         };
@@ -534,7 +531,7 @@ mod tests {
             bursty_antagonist(TENANT_STEADY_REQUESTS),
         ];
         let p99 = |policy| {
-            engine::run_tenants(&config, &tenants, policy)
+            engine::run_tenants_sharded(&config, &tenants, policy, 1)
                 .tenant(ANTAGONIST_ID)
                 .unwrap()
                 .latency

@@ -179,7 +179,7 @@ pub fn slo_sweep_with_workers(seed: u64, workers: usize) -> Vec<SloRow> {
     rows
 }
 
-/// [`slo_sweep_with_workers`] on the inline engine.
+/// [`slo_sweep_with_workers`] on one accounting worker.
 pub fn slo_sweep(seed: u64) -> Vec<SloRow> {
     slo_sweep_with_workers(seed, 1)
 }

@@ -60,8 +60,8 @@ pub fn timeline_spec() -> TelemetrySpec {
     TelemetrySpec::full(TIMELINE_WINDOW_NS, TIMELINE_TOP_K)
 }
 
-/// Runs the flagship observed scenario (1 = inline engine; the report and
-/// telemetry are bit-identical at every worker count).
+/// Runs the flagship observed scenario on `workers` accounting workers (the
+/// report and telemetry are bit-identical at every worker count).
 pub fn timeline_run(seed: u64, workers: usize) -> (MultiTenantReport, RunTelemetry) {
     let spec = bam_nvme_sim::SsdSpec::intel_optane_p5800x();
     let config = sim_exp::tenant_config(&spec, seed);

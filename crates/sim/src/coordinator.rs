@@ -1,5 +1,5 @@
-//! Coordinator for the sharded engine: a worker pool of per-SSD accounting
-//! shards fed by the timing spine.
+//! The engine's coordinator: a worker pool of per-SSD accounting shards fed
+//! by the timing spine. Every public run goes through [`run_sharded_core`].
 //!
 //! The spine (`engine::drive_events`) stays sequential — the global RNG draw
 //! order is part of the determinism contract — while each shard applies its
@@ -23,11 +23,11 @@ use bam_obs::{merge_indexed_spans, BlameRow, SpanEvent, SpanRecorder, WindowedSe
 
 use crate::clock::SimTime;
 use crate::engine::{
-    drive_events_cursor, AdmissionState, EngineOutput, IssueState, RequestDesc, SimConfig,
+    drive_events, AdmissionState, EngineOutput, IssueState, RequestDesc, SimConfig,
 };
 use crate::pipeline::PipelineParams;
 use crate::shard::{
-    merge_tenants, occupancy_stats, Accounting, ObsPlan, OccupancyMeter, Rec, ShardMap, SpanOut,
+    merge_tenants, occupancy_stats, Accounting, ObsPlan, OccupancyMeter, Rec, ShardMap,
 };
 
 /// Records a shard batch may accumulate before it is flushed regardless of
@@ -48,7 +48,13 @@ fn lookahead_epsilon(p: &PipelineParams) -> u64 {
 }
 
 /// Runs the spine with `min(workers, num_ssds)` accounting shards and merges
-/// their results into the same [`EngineOutput`] the inline engine produces.
+/// their results into one [`EngineOutput`], bit-identical at any worker
+/// count.
+///
+/// # Panics
+///
+/// Panics if `workers` is zero: this is the one place every entry point
+/// checks it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_sharded_core(
     config: &SimConfig,
@@ -62,6 +68,7 @@ pub(crate) fn run_sharded_core(
     workers: usize,
     plan: &ObsPlan<'_>,
 ) -> EngineOutput {
+    assert!(workers > 0, "need at least one worker");
     let map = ShardMap::new(workers, config.num_ssds, config.queue_pairs_per_ssd);
     let shards = map.shards;
     let total_qps = config.total_queue_pairs();
@@ -93,11 +100,7 @@ pub(crate) fn run_sharded_core(
                 shard_slots as usize,
                 total_qps,
                 plan,
-                if traced {
-                    SpanOut::Buffered(Vec::new())
-                } else {
-                    SpanOut::None
-                },
+                traced,
             );
             handles.push(scope.spawn(move || {
                 let mut acct = acct;
@@ -114,7 +117,7 @@ pub(crate) fn run_sharded_core(
             .map(|_| Vec::with_capacity(BATCH_RECORDS))
             .collect();
         let mut next_flush = SimTime::ZERO;
-        let spine = drive_events_cursor(
+        let spine = drive_events(
             config,
             requests,
             tenant_of,
@@ -155,8 +158,8 @@ pub(crate) fn run_sharded_core(
         (spine, accts)
     });
 
-    // Merge in global queue-pair order, so the f64 occupancy fold matches
-    // the inline engine's bit for bit.
+    // Merge in global queue-pair order, so the f64 occupancy fold is the
+    // same at every shard count, bit for bit.
     let meters: Vec<OccupancyMeter> = (0..total_qps)
         .map(|qp| accts[map.of_qp(qp)].meters[qp as usize])
         .collect();
@@ -170,8 +173,8 @@ pub(crate) fn run_sharded_core(
     }
 
     // Replay the merged span stream into the caller's recorder in global
-    // emission order — the same sequence of `record` calls the inline engine
-    // makes, so ring-buffer wrap and drop counts match exactly too.
+    // emission order — the same sequence of `record` calls an un-sharded
+    // run makes, so ring-buffer wrap and drop counts match exactly too.
     if let Some(rec) = recorder {
         let parts: Vec<Vec<(u64, SpanEvent)>> = accts.iter_mut().map(|a| a.take_spans()).collect();
         for event in merge_indexed_spans(parts) {
@@ -181,8 +184,7 @@ pub(crate) fn run_sharded_core(
 
     // Fold the shard series and concatenate blame rows. The series merge is
     // commutative, and the blame report builder sorts rows by request id, so
-    // both outputs are bit-identical to the inline engine's at any shard
-    // count.
+    // both outputs are bit-identical at any shard count.
     let mut series = WindowedSeries::new(plan.telemetry.window_ns);
     let mut blame_rows: Vec<BlameRow> = Vec::new();
     for acct in &mut accts {

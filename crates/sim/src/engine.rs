@@ -10,11 +10,14 @@
 //! Runs are deterministic: the event heap breaks ties by insertion order and
 //! all randomness comes from one seeded SplitMix64 generator.
 //!
-//! Two engines share one timing spine (`drive_events`): the inline engine
-//! ([`run`]) applies accounting in the event loop, and the sharded engine
-//! ([`run_sharded`]) streams accounting records to per-SSD worker shards
-//! (the private `shard` and `coordinator` modules) whose merged results
-//! are bit-identical at any worker count.
+//! One engine runs every entry point: the sequential timing spine
+//! (`drive_events`) feeds arrivals from a time-sorted cursor and streams
+//! accounting records to `min(workers, num_ssds)` per-SSD worker shards
+//! (the private `shard` and `coordinator` modules), whose merged results
+//! are bit-identical at any worker count. Explicit tenants lower to
+//! one-member [`TenantClass`]es and run on the class path; only a
+//! single-workload run, whose requests may pin devices and queues, keeps
+//! its own routing.
 
 use std::collections::VecDeque;
 
@@ -30,16 +33,19 @@ use crate::dist::LatencyDist;
 use crate::event::{Event, EventQueue};
 use crate::pipeline::{fair_shares, PipelineParams, QueuePairPolicy};
 use crate::report::{
-    build_run_telemetry, DepthTimeline, MultiTenantReport, RunTelemetry, SimReport, TenantSummary,
+    build_run_telemetry, AdmissionReport, DepthTimeline, LatencySummary, MemberSummary,
+    MultiTenantReport, RunTelemetry, SimReport, TenantSummary,
 };
-use crate::shard::{occupancy_stats, Accounting, ObsPlan, Rec, SpanOut, TenantAcc};
+#[cfg(test)]
+use crate::shard::{occupancy_stats, Accounting};
+use crate::shard::{ObsPlan, Rec, TenantAcc};
 use crate::tenant::{ArrivalProcess, Superposition, TenantClass, TenantSpec};
 
-/// What run-level telemetry the engines collect.
+/// What run-level telemetry the engine collects.
 ///
 /// The disabled spec costs one predictable branch per accounting record;
 /// enabled telemetry perturbs nothing — the report of an observed run is
-/// bit-identical to the unobserved run's, on either engine.
+/// bit-identical to the unobserved run's, at any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySpec {
     /// Windowed-series window size in virtual nanoseconds (0 = no series).
@@ -394,23 +400,20 @@ impl AdmissionState {
 }
 
 /// Worst-case simultaneously pending events, reserved up front so the heap
-/// never reallocates mid-run: every not-yet-popped pre-scheduled arrival,
-/// at most one in-service event per in-flight request, and up to two pending
-/// events per queue pair (`QpForwarded` + `QpRecovered` are scheduled
-/// together).
-pub(crate) fn heap_reservation(
-    pending_arrivals: usize,
-    num_requests: usize,
-    total_qps: u32,
-) -> usize {
-    pending_arrivals + num_requests + 2 * total_qps as usize + 16
+/// never reallocates mid-run: at most one in-service event per request (a
+/// deferred re-offer or a closed-loop refill is its request's one event),
+/// and up to two pending events per queue pair (`QpForwarded` +
+/// `QpRecovered` are scheduled together). Pre-scheduled arrivals never
+/// enter the heap: the spine feeds them from a cursor.
+fn heap_reservation(num_requests: usize, total_qps: u32) -> usize {
+    num_requests + 2 * total_qps as usize + 16
 }
 
-/// What the timing spine hands back to its wrappers.
+/// What the timing spine hands back to the engine.
 pub(crate) struct SpineOutcome {
     pub(crate) end: SimTime,
     pub(crate) depth: DepthTimeline,
-    /// Events processed (identical for the inline and sharded engines).
+    /// Events processed (identical at every worker count).
     pub(crate) events: u64,
     /// Most events ever simultaneously pending in the heap.
     pub(crate) peak_queued: usize,
@@ -422,15 +425,13 @@ pub(crate) struct SpineOutcome {
 /// accounting fact as a [`Rec`] through `sink` in global `(time, seq)`
 /// order.
 ///
-/// With `CURSOR` false the pre-scheduled arrivals are heap-loaded up front
-/// (the inline engine's historical behavior). With `CURSOR` true they are
-/// fed from the already-time-sorted slice instead, keeping the heap sized by
-/// in-flight work rather than total run length; a pending arrival fires
-/// before any heap event at the same instant, which is exactly the heap
-/// order (pre-scheduled arrivals always carry lower insertion sequences than
-/// runtime events), so both modes process the identical event sequence.
+/// The pre-scheduled arrivals are fed from the already time-sorted slice
+/// rather than heap-loaded, so the heap is sized by in-flight work, not by
+/// run length. A pending arrival fires before any heap event at the same
+/// instant: every pre-scheduled arrival precedes every runtime event in
+/// insertion order, so this is the order one heap holding both would give.
 #[allow(clippy::too_many_arguments)]
-fn drive_events<const CURSOR: bool>(
+pub(crate) fn drive_events(
     config: &SimConfig,
     requests: &[RequestDesc],
     tenant_of: &[u32],
@@ -472,16 +473,7 @@ fn drive_events<const CURSOR: bool>(
     let mut rec_idx: u64 = 0;
     let mut next_arrival = 0usize;
 
-    let mut events = EventQueue::with_capacity(heap_reservation(
-        if CURSOR { 0 } else { arrivals.len() },
-        requests.len(),
-        total_qps,
-    ));
-    if !CURSOR {
-        for &(at, req) in arrivals {
-            events.schedule(at, Event::Arrive { req });
-        }
-    }
+    let mut events = EventQueue::with_capacity(heap_reservation(requests.len(), total_qps));
 
     // Closes one stage of `req` at the current instant (dwell measured from
     // the request's previous boundary — the shard owns that state). The
@@ -512,8 +504,7 @@ fn drive_events<const CURSOR: bool>(
     }
 
     loop {
-        let take_arrival = CURSOR
-            && next_arrival < arrivals.len()
+        let take_arrival = next_arrival < arrivals.len()
             && events
                 .peek_time()
                 .is_none_or(|t| arrivals[next_arrival].0 <= t);
@@ -708,33 +699,60 @@ fn drive_events<const CURSOR: bool>(
     }
 }
 
-/// Which engine executes a run.
+/// Where the spine's accounting records are applied.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum EngineMode {
-    /// The historical single-threaded engine: accounting applied inline in
-    /// the event loop, arrivals heap-loaded up front.
-    Inline,
-    /// The sharded engine: the timing spine streams records to
-    /// `min(workers, num_ssds)` accounting shards (see
-    /// [`crate::coordinator`]).
+enum Arm {
+    /// The shard coordinator with `workers` accounting workers: the only
+    /// arm a public entry point can select.
     Sharded(usize),
+    /// One un-sharded [`Accounting`] applied on the spine thread: the
+    /// test-only reference the coordinator is checked against.
+    #[cfg(test)]
+    Reference,
 }
 
-/// What either engine hands back to the report builders.
+/// How one run executes and what it records besides its report.
+#[derive(Clone, Copy)]
+struct Exec<'a> {
+    arm: Arm,
+    recorder: Option<&'a SpanRecorder>,
+    telemetry: TelemetrySpec,
+}
+
+impl<'a> Exec<'a> {
+    /// An untraced, unobserved run on `workers` accounting workers.
+    fn workers(workers: usize) -> Self {
+        Self {
+            arm: Arm::Sharded(workers),
+            recorder: None,
+            telemetry: TelemetrySpec::disabled(),
+        }
+    }
+
+    /// The same run, traced into `recorder`.
+    fn traced(self, recorder: &'a SpanRecorder) -> Self {
+        let recorder = Some(recorder);
+        Self { recorder, ..self }
+    }
+
+    /// The same run, observed per `telemetry`.
+    fn observed(self, telemetry: TelemetrySpec) -> Self {
+        Self { telemetry, ..self }
+    }
+}
+
+/// What the engine hands back to the report builders.
 pub(crate) struct EngineOutput {
     pub(crate) end: SimTime,
     pub(crate) depth: DepthTimeline,
     pub(crate) events: u64,
     /// Most events ever simultaneously pending in the spine's heap. Not part
-    /// of any report — the cursor-fed sharded spine keeps a much smaller
-    /// heap than the heap-fed inline engine on the same workload. Read only
-    /// by the reservation regression tests.
+    /// of any report; read only by the reservation regression test.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) peak_queued: usize,
     pub(crate) occupancy_mean: f64,
     pub(crate) occupancy_max: u64,
-    /// Completed-read latencies (completion order for the inline engine,
-    /// shard-concatenated for the sharded one — consumers are
+    /// Completed-read latencies, concatenated in shard order (consumers are
     /// order-independent).
     pub(crate) read_latencies: Vec<u64>,
     /// Completed-write latencies. Includes the journal-flush stage when
@@ -745,14 +763,51 @@ pub(crate) struct EngineOutput {
     /// Run-level windowed telemetry (empty when the plan disabled it).
     pub(crate) series: WindowedSeries,
     /// Per-request blame rows (empty when the plan disabled blame;
-    /// shard-concatenated for the sharded engine — the report builder sorts).
+    /// shard-concatenated — the report builder sorts).
     pub(crate) blame_rows: Vec<BlameRow>,
 }
 
-/// Runs the spine with inline accounting (the historical engine) or via the
-/// shard coordinator, returning identical output either way.
+impl EngineOutput {
+    /// Moves the run-level telemetry out, folding in the depth timeline.
+    fn take_telemetry(&mut self, blame_top_k: usize) -> RunTelemetry {
+        let series = std::mem::replace(&mut self.series, WindowedSeries::new(0));
+        let rows = std::mem::take(&mut self.blame_rows);
+        build_run_telemetry(series, rows, &self.depth, blame_top_k)
+    }
+}
+
+/// Runs the spine with its accounting applied by `exec.arm`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute(
+fn execute(
+    config: &SimConfig,
+    requests: &[RequestDesc],
+    tenant_of: &[u32],
+    qp_of: &[u32],
+    arrivals: &[(SimTime, u32)],
+    issue: &mut [IssueState],
+    admission: &mut AdmissionState,
+    exec: Exec<'_>,
+    plan: &ObsPlan<'_>,
+) -> EngineOutput {
+    let recorder = exec.recorder;
+    match exec.arm {
+        Arm::Sharded(workers) => coordinator::run_sharded_core(
+            config, requests, tenant_of, qp_of, arrivals, issue, admission, recorder, workers, plan,
+        ),
+        #[cfg(test)]
+        Arm::Reference => reference_core(
+            config, requests, tenant_of, qp_of, arrivals, issue, admission, recorder, plan,
+        ),
+    }
+}
+
+/// The reference arm: the spine's records applied in emission order to one
+/// un-sharded [`Accounting`] on the spine thread, its spans replayed into
+/// the recorder as emitted. No threads, channels or merges, so it is the
+/// independent execution the coordinator's output is compared against.
+#[cfg(test)]
+#[allow(clippy::too_many_arguments)]
+fn reference_core(
     config: &SimConfig,
     requests: &[RequestDesc],
     tenant_of: &[u32],
@@ -761,159 +816,75 @@ pub(crate) fn execute(
     issue: &mut [IssueState],
     admission: &mut AdmissionState,
     recorder: Option<&SpanRecorder>,
-    mode: EngineMode,
     plan: &ObsPlan<'_>,
 ) -> EngineOutput {
-    match mode {
-        EngineMode::Inline => {
-            let spans = recorder.map_or(SpanOut::None, SpanOut::Direct);
-            let mut acct = Accounting::new(
-                requests,
-                tenant_of,
-                qp_of,
-                None,
-                requests.len(),
-                config.total_queue_pairs(),
-                plan,
-                spans,
-            );
-            let spine = drive_events::<false>(
-                config,
-                requests,
-                tenant_of,
-                qp_of,
-                arrivals,
-                issue,
-                admission,
-                &mut |rec| acct.apply(rec),
-            );
-            let (occupancy_mean, occupancy_max) = occupancy_stats(&acct.meters, spine.end);
-            let blame_rows = acct.take_blame_rows();
-            EngineOutput {
-                end: spine.end,
-                depth: spine.depth,
-                events: spine.events,
-                peak_queued: spine.peak_queued,
-                occupancy_mean,
-                occupancy_max,
-                read_latencies: acct.read_latencies,
-                write_latencies: acct.write_latencies,
-                tenants: acct.tenants,
-                series: acct.series,
-                blame_rows,
-            }
+    let mut acct = Accounting::new(
+        requests,
+        tenant_of,
+        qp_of,
+        None,
+        requests.len(),
+        config.total_queue_pairs(),
+        plan,
+        recorder.is_some(),
+    );
+    let spine = drive_events(
+        config,
+        requests,
+        tenant_of,
+        qp_of,
+        arrivals,
+        issue,
+        admission,
+        &mut |rec| acct.apply(rec),
+    );
+    if let Some(rec) = recorder {
+        for (_, event) in acct.take_spans() {
+            rec.record(event);
         }
-        EngineMode::Sharded(workers) => coordinator::run_sharded_core(
-            config, requests, tenant_of, qp_of, arrivals, issue, admission, recorder, workers, plan,
-        ),
+    }
+    let (occupancy_mean, occupancy_max) = occupancy_stats(&acct.meters, spine.end);
+    let blame_rows = acct.take_blame_rows();
+    EngineOutput {
+        end: spine.end,
+        depth: spine.depth,
+        events: spine.events,
+        peak_queued: spine.peak_queued,
+        occupancy_mean,
+        occupancy_max,
+        read_latencies: acct.read_latencies,
+        write_latencies: acct.write_latencies,
+        tenants: acct.tenants,
+        series: acct.series,
+        blame_rows,
     }
 }
 
-/// The cursor-fed spine entry point for the coordinator (monomorphized
-/// separately from the inline engine's heap-fed one).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_events_cursor(
-    config: &SimConfig,
-    requests: &[RequestDesc],
-    tenant_of: &[u32],
-    qp_of: &[u32],
-    arrivals: &[(SimTime, u32)],
-    issue: &mut [IssueState],
-    admission: &mut AdmissionState,
-    sink: &mut impl FnMut(Rec),
-) -> SpineOutcome {
-    drive_events::<true>(
-        config, requests, tenant_of, qp_of, arrivals, issue, admission, sink,
-    )
-}
-
 /// Runs `requests` through the pipeline under the given arrival process and
-/// returns the run's report.
+/// returns the run's report. The timing spine streams accounting to
+/// `min(workers, num_ssds)` per-SSD shards applied by a worker pool; the
+/// report is bit-identical at any worker count.
 ///
 /// # Panics
 ///
-/// Panics if `requests` is empty, the configuration has no queue pairs, or an
-/// open-loop rate is not positive.
-pub fn run(config: &SimConfig, workload: Workload, requests: &[RequestDesc]) -> SimReport {
-    run_with(
-        config,
-        workload,
-        requests,
-        None,
-        EngineMode::Inline,
-        TelemetrySpec::disabled(),
-    )
-    .0
-}
-
-/// [`run`] with run-level telemetry: alongside the (bit-identical) report,
-/// returns the windowed series and blame decomposition described by
-/// `telemetry`. `workers` dispatches the engine as in [`run_with_workers`];
-/// the telemetry is bit-identical at any worker count.
-pub fn run_observed(
-    config: &SimConfig,
-    workload: Workload,
-    requests: &[RequestDesc],
-    workers: usize,
-    telemetry: TelemetrySpec,
-) -> (SimReport, RunTelemetry) {
-    let mode = if workers <= 1 {
-        EngineMode::Inline
-    } else {
-        EngineMode::Sharded(workers)
-    };
-    run_with(config, workload, requests, None, mode, telemetry)
-}
-
-/// [`run`] with span tracing: every request's stage intervals are recorded
-/// into `recorder` as [`bam_obs::SpanEvent`]s with virtual-nanosecond
-/// timestamps. Tracing changes no simulation state — the report is identical
-/// to the untraced run's.
-pub fn run_traced(
-    config: &SimConfig,
-    workload: Workload,
-    requests: &[RequestDesc],
-    recorder: &SpanRecorder,
-) -> SimReport {
-    run_with(
-        config,
-        workload,
-        requests,
-        Some(recorder),
-        EngineMode::Inline,
-        TelemetrySpec::disabled(),
-    )
-    .0
-}
-
-/// [`run`] on the sharded engine: the timing spine streams accounting to
-/// `min(workers, num_ssds)` per-SSD shards applied by a worker pool. The
-/// report is bit-identical to [`run`]'s at any worker count.
-///
-/// # Panics
-///
-/// Panics on [`run`]'s conditions, or if `workers` is zero.
+/// Panics if `requests` is empty, the configuration has no queue pairs, an
+/// open-loop rate is not positive, or `workers` is zero.
 pub fn run_sharded(
     config: &SimConfig,
     workload: Workload,
     requests: &[RequestDesc],
     workers: usize,
 ) -> SimReport {
-    assert!(workers > 0, "need at least one worker");
-    run_with(
-        config,
-        workload,
-        requests,
-        None,
-        EngineMode::Sharded(workers),
-        TelemetrySpec::disabled(),
-    )
-    .0
+    run_with(config, workload, requests, Exec::workers(workers)).0
 }
 
-/// [`run_sharded`] with span tracing: shards buffer their span events and
-/// the coordinator merges them back in global emission order, so the
-/// recorder's contents are bit-identical to [`run_traced`]'s.
+/// [`run_sharded`] with span tracing: every request's stage intervals are
+/// recorded into `recorder` as [`bam_obs::SpanEvent`]s with
+/// virtual-nanosecond timestamps. Shards buffer their span events and the
+/// coordinator replays them in global emission order, so the recorder's
+/// contents (ring wrap and drop count included) are bit-identical at any
+/// worker count. Tracing changes no simulation state — the report is
+/// identical to the untraced run's.
 pub fn run_sharded_traced(
     config: &SimConfig,
     workload: Workload,
@@ -921,52 +892,31 @@ pub fn run_sharded_traced(
     workers: usize,
     recorder: &SpanRecorder,
 ) -> SimReport {
-    assert!(workers > 0, "need at least one worker");
-    run_with(
-        config,
-        workload,
-        requests,
-        Some(recorder),
-        EngineMode::Sharded(workers),
-        TelemetrySpec::disabled(),
-    )
-    .0
+    let exec = Exec::workers(workers).traced(recorder);
+    run_with(config, workload, requests, exec).0
 }
 
-/// Engine dispatch by worker count: `workers <= 1` runs the inline engine,
-/// anything larger the sharded one. The report is identical either way —
-/// this is what the benchmark binaries' `--workers` flag calls.
-pub fn run_with_workers(
+/// [`run_sharded`] with run-level telemetry: alongside the (bit-identical)
+/// report, returns the windowed series and blame decomposition described by
+/// `telemetry`. The telemetry is bit-identical at any worker count.
+pub fn run_observed(
     config: &SimConfig,
     workload: Workload,
     requests: &[RequestDesc],
     workers: usize,
-) -> SimReport {
-    if workers <= 1 {
-        run(config, workload, requests)
-    } else {
-        run_sharded(config, workload, requests, workers)
-    }
-}
-
-/// [`run_with_workers`] with span tracing.
-pub fn run_traced_with_workers(
-    config: &SimConfig,
-    workload: Workload,
-    requests: &[RequestDesc],
-    workers: usize,
-    recorder: &SpanRecorder,
-) -> SimReport {
-    if workers <= 1 {
-        run_traced(config, workload, requests, recorder)
-    } else {
-        run_sharded_traced(config, workload, requests, workers, recorder)
-    }
+    telemetry: TelemetrySpec,
+) -> (SimReport, RunTelemetry) {
+    let exec = Exec::workers(workers).observed(telemetry);
+    run_with(config, workload, requests, exec)
 }
 
 /// Legacy routing: explicit overrides win, everything else round-robins
 /// devices first and local queues second on the global request index.
-pub(crate) fn legacy_qp_of(config: &SimConfig, requests: &[RequestDesc]) -> Vec<u32> {
+///
+/// Single-workload runs keep this adapter rather than lowering to a class:
+/// an arbitrary [`RequestDesc`] list may pin devices and queues, which no
+/// class routing expresses.
+fn legacy_qp_of(config: &SimConfig, requests: &[RequestDesc]) -> Vec<u32> {
     let mut qp_of: Vec<u32> = Vec::with_capacity(requests.len());
     for (i, desc) in requests.iter().enumerate() {
         let device = desc
@@ -983,7 +933,7 @@ pub(crate) fn legacy_qp_of(config: &SimConfig, requests: &[RequestDesc]) -> Vec<
 
 /// The pre-scheduled arrival stream of a single-tenant workload over `n`
 /// requests (time-ascending by construction).
-pub(crate) fn workload_arrivals(workload: Workload, n: u64) -> Vec<(SimTime, u32)> {
+fn workload_arrivals(workload: Workload, n: u64) -> Vec<(SimTime, u32)> {
     match workload {
         Workload::OpenLoop { rate_per_s } => {
             assert!(rate_per_s > 0.0, "open-loop rate must be positive");
@@ -1005,14 +955,13 @@ pub(crate) fn workload_arrivals(workload: Workload, n: u64) -> Vec<(SimTime, u32
     }
 }
 
-fn run_with(
+/// Runs a single workload as one engine tenant on the legacy routing.
+fn execute_single(
     config: &SimConfig,
     workload: Workload,
     requests: &[RequestDesc],
-    recorder: Option<&SpanRecorder>,
-    mode: EngineMode,
-    telemetry: TelemetrySpec,
-) -> (SimReport, RunTelemetry) {
+    exec: Exec<'_>,
+) -> EngineOutput {
     assert!(!requests.is_empty(), "nothing to simulate");
     assert!(
         config.total_queue_pairs() > 0,
@@ -1028,11 +977,11 @@ fn run_with(
     let mut issue = [IssueState::new(0, n, arrivals.len() as u64, refill)];
     let tenant_of = vec![0u32; requests.len()];
     let plan = ObsPlan {
-        telemetry,
+        telemetry: exec.telemetry,
         tenant_slo_windows: &[0],
         member_of: None,
     };
-    let mut outcome = execute(
+    execute(
         config,
         requests,
         &tenant_of,
@@ -1040,14 +989,19 @@ fn run_with(
         &arrivals,
         &mut issue,
         &mut AdmissionState::none(),
-        recorder,
-        mode,
+        exec,
         &plan,
-    );
-    let series = std::mem::replace(&mut outcome.series, WindowedSeries::new(0));
-    let blame_rows = std::mem::take(&mut outcome.blame_rows);
-    let run_telemetry =
-        build_run_telemetry(series, blame_rows, &outcome.depth, telemetry.blame_top_k);
+    )
+}
+
+fn run_with(
+    config: &SimConfig,
+    workload: Workload,
+    requests: &[RequestDesc],
+    exec: Exec<'_>,
+) -> (SimReport, RunTelemetry) {
+    let mut outcome = execute_single(config, workload, requests, exec);
+    let run_telemetry = outcome.take_telemetry(exec.telemetry.blame_top_k);
     let acc = outcome.tenants.remove(0);
     let report = SimReport::build(
         acc.latencies,
@@ -1064,99 +1018,34 @@ fn run_with(
 }
 
 /// Runs the superposed workloads of `tenants` through the pipeline, with
-/// queue pairs allocated by `policy`, and returns per-tenant accounting plus
-/// the merged view.
+/// queue pairs allocated by `policy`, on `workers` accounting workers, and
+/// returns per-tenant accounting plus the merged view. The report is
+/// bit-identical at any worker count.
 ///
 /// Each tenant's `requests` block uses the pipeline's access size with its
 /// writes Bresenham-interleaved, routed round-robin across the tenant's
 /// queue-pair allocation. Arrival streams are generated from per-tenant RNGs
 /// (`TenantSpec::rng`), so a tenant's stream is invariant under changes to
-/// its neighbours.
+/// its neighbours. Each tenant runs as a one-member [`TenantClass`] with its
+/// id, which draws the same stream and reports the same summary row.
 ///
 /// # Panics
 ///
-/// Panics if `tenants` is empty, ids repeat, or
+/// Panics if `tenants` is empty, ids repeat, `workers` is zero, or
 /// ([`QueuePairPolicy::WeightedFair`] only) there are fewer queue pairs than
 /// tenants. A tenant with zero requests is legal: it contributes nothing to
 /// the run and gets an all-zero summary.
-pub fn run_tenants(
-    config: &SimConfig,
-    tenants: &[TenantSpec],
-    policy: QueuePairPolicy,
-) -> MultiTenantReport {
-    run_tenants_with(
-        config,
-        tenants,
-        policy,
-        None,
-        EngineMode::Inline,
-        TelemetrySpec::disabled(),
-    )
-    .0
-}
-
-/// [`run_tenants`] with run-level telemetry (see [`run_observed`]): returns
-/// the multi-tenant report — including per-tenant SLO evaluations for
-/// tenants carrying a [`bam_obs::SloSpec`] — plus the run's windowed series
-/// and blame decomposition. Bit-identical at any worker count.
-pub fn run_tenants_observed(
-    config: &SimConfig,
-    tenants: &[TenantSpec],
-    policy: QueuePairPolicy,
-    workers: usize,
-    telemetry: TelemetrySpec,
-) -> (MultiTenantReport, RunTelemetry) {
-    let mode = if workers <= 1 {
-        EngineMode::Inline
-    } else {
-        EngineMode::Sharded(workers)
-    };
-    run_tenants_with(config, tenants, policy, None, mode, telemetry)
-}
-
-/// [`run_tenants`] with span tracing into `recorder` (see [`run_traced`]).
-pub fn run_tenants_traced(
-    config: &SimConfig,
-    tenants: &[TenantSpec],
-    policy: QueuePairPolicy,
-    recorder: &SpanRecorder,
-) -> MultiTenantReport {
-    run_tenants_with(
-        config,
-        tenants,
-        policy,
-        Some(recorder),
-        EngineMode::Inline,
-        TelemetrySpec::disabled(),
-    )
-    .0
-}
-
-/// [`run_tenants`] on the sharded engine (see [`run_sharded`]); the report
-/// is bit-identical to [`run_tenants`]'s at any worker count.
-///
-/// # Panics
-///
-/// Panics on [`run_tenants`]'s conditions, or if `workers` is zero.
 pub fn run_tenants_sharded(
     config: &SimConfig,
     tenants: &[TenantSpec],
     policy: QueuePairPolicy,
     workers: usize,
 ) -> MultiTenantReport {
-    assert!(workers > 0, "need at least one worker");
-    run_tenants_with(
-        config,
-        tenants,
-        policy,
-        None,
-        EngineMode::Sharded(workers),
-        TelemetrySpec::disabled(),
-    )
-    .0
+    run_tenants_core(config, tenants, policy, Exec::workers(workers)).0
 }
 
-/// [`run_tenants_sharded`] with span tracing (see [`run_sharded_traced`]).
+/// [`run_tenants_sharded`] with span tracing into `recorder` (see
+/// [`run_sharded_traced`]).
 pub fn run_tenants_sharded_traced(
     config: &SimConfig,
     tenants: &[TenantSpec],
@@ -1164,46 +1053,34 @@ pub fn run_tenants_sharded_traced(
     workers: usize,
     recorder: &SpanRecorder,
 ) -> MultiTenantReport {
-    assert!(workers > 0, "need at least one worker");
-    run_tenants_with(
-        config,
-        tenants,
-        policy,
-        Some(recorder),
-        EngineMode::Sharded(workers),
-        TelemetrySpec::disabled(),
-    )
-    .0
+    let exec = Exec::workers(workers).traced(recorder);
+    run_tenants_core(config, tenants, policy, exec).0
 }
 
-/// Engine dispatch by worker count for multi-tenant runs (see
-/// [`run_with_workers`]).
-pub fn run_tenants_with_workers(
+/// [`run_tenants_sharded`] with run-level telemetry (see [`run_observed`]):
+/// returns the multi-tenant report — including per-tenant SLO evaluations
+/// for tenants carrying a [`bam_obs::SloSpec`] — plus the run's windowed
+/// series and blame decomposition. Bit-identical at any worker count.
+pub fn run_tenants_observed(
     config: &SimConfig,
     tenants: &[TenantSpec],
     policy: QueuePairPolicy,
     workers: usize,
-) -> MultiTenantReport {
-    if workers <= 1 {
-        run_tenants(config, tenants, policy)
-    } else {
-        run_tenants_sharded(config, tenants, policy, workers)
-    }
+    telemetry: TelemetrySpec,
+) -> (MultiTenantReport, RunTelemetry) {
+    let exec = Exec::workers(workers).observed(telemetry);
+    run_tenants_core(config, tenants, policy, exec)
 }
 
-fn run_tenants_with(
+/// Runs explicit tenants on the class path, each lowered to a one-member
+/// class.
+fn run_tenants_core(
     config: &SimConfig,
     tenants: &[TenantSpec],
     policy: QueuePairPolicy,
-    recorder: Option<&SpanRecorder>,
-    mode: EngineMode,
-    telemetry: TelemetrySpec,
+    exec: Exec<'_>,
 ) -> (MultiTenantReport, RunTelemetry) {
     assert!(!tenants.is_empty(), "no tenants to simulate");
-    assert!(
-        config.total_queue_pairs() > 0,
-        "need at least one queue pair"
-    );
     for (i, t) in tenants.iter().enumerate() {
         assert!(
             tenants[..i].iter().all(|u| u.id != t.id),
@@ -1211,141 +1088,18 @@ fn run_tenants_with(
             t.id
         );
     }
-    let total_qps = config.total_queue_pairs();
-    let weights: Vec<u32> = tenants.iter().map(|t| t.weight).collect();
-    let shares: Vec<u32> = match policy {
-        QueuePairPolicy::Shared => vec![total_qps; tenants.len()],
-        QueuePairPolicy::WeightedFair => fair_shares(total_qps, &weights),
-    };
-    let mut share_base: Vec<u32> = Vec::with_capacity(tenants.len());
-    let mut acc = 0u32;
-    for &s in &shares {
-        share_base.push(acc);
-        acc += s;
-    }
-
-    // Flat request table: each tenant owns a contiguous block.
-    let mut bases: Vec<u64> = Vec::with_capacity(tenants.len());
-    let mut requests: Vec<RequestDesc> = Vec::new();
-    let mut tenant_of: Vec<u32> = Vec::new();
-    let mut qp_of: Vec<u32> = Vec::new();
-    for (ti, t) in tenants.iter().enumerate() {
-        bases.push(requests.len() as u64);
-        requests.extend(mixed_requests(config, t.requests, t.writes));
-        for k in 0..t.requests {
-            tenant_of.push(ti as u32);
-            let k = k as u32;
-            let qp = match policy {
-                // Devices first, local queues second — the legacy spread,
-                // but on the tenant's own arrival counter.
-                QueuePairPolicy::Shared => {
-                    let device = k % config.num_ssds;
-                    let local = (k / config.num_ssds) % config.queue_pairs_per_ssd;
-                    device * config.queue_pairs_per_ssd + local
-                }
-                // Round-robin within the tenant's partition of the global
-                // queue-pair space.
-                QueuePairPolicy::WeightedFair => share_base[ti] + (k % shares[ti]),
-            };
-            qp_of.push(qp);
-        }
-    }
-
-    let superposition = Superposition::generate(config.seed, tenants, &bases);
-    let mut issue: Vec<IssueState> = tenants
-        .iter()
-        .zip(&bases)
-        .map(|(t, &base)| {
-            let refill = match t.arrival {
-                ArrivalProcess::ClosedLoop { in_flight } => Some(in_flight),
-                _ => None,
-            };
-            IssueState::new(base, t.requests, t.arrival.prescheduled(t.requests), refill)
-        })
-        .collect();
-
-    let slo_windows: Vec<u64> = tenants
-        .iter()
-        .map(|t| t.slo.map_or(0, |s| s.window_ns))
-        .collect();
-    let plan = ObsPlan {
-        telemetry,
-        tenant_slo_windows: &slo_windows,
-        member_of: None,
-    };
-    let mut outcome = execute(
-        config,
-        &requests,
-        &tenant_of,
-        &qp_of,
-        &superposition.arrivals,
-        &mut issue,
-        &mut AdmissionState::none(),
-        recorder,
-        mode,
-        &plan,
-    );
-    let series = std::mem::replace(&mut outcome.series, WindowedSeries::new(0));
-    let blame_rows = std::mem::take(&mut outcome.blame_rows);
-    let run_telemetry =
-        build_run_telemetry(series, blame_rows, &outcome.depth, telemetry.blame_top_k);
-
-    let mut all_latencies: Vec<u64> = Vec::with_capacity(requests.len());
-    let mut overall_stages = StageBreakdown::new();
-    let mut summaries: Vec<TenantSummary> = Vec::with_capacity(tenants.len());
-    for ((t, acc), &share) in tenants.iter().zip(outcome.tenants).zip(&shares) {
-        all_latencies.extend_from_slice(&acc.latencies);
-        overall_stages.merge(&acc.stages);
-        let slo = t
-            .slo
-            .as_ref()
-            .map(|spec| evaluate_slo(&acc.slo_series, spec));
-        let histo = bam_obs::LatencyHisto::from_samples(acc.latencies);
-        let first_arrival = acc.first_arrival.unwrap_or(SimTime::ZERO);
-        let span_s = (acc.last_completion - first_arrival) as f64 / 1e9;
-        summaries.push(TenantSummary {
-            id: t.id,
-            name: t.name.clone(),
-            weight: t.weight,
-            queue_pairs: share,
-            latency: crate::report::LatencySummary::from_histo(&histo),
-            completed: histo.count(),
-            throughput_per_s: if span_s > 0.0 {
-                histo.count() as f64 / span_s
-            } else {
-                0.0
-            },
-            first_arrival_s: first_arrival.as_secs_f64(),
-            last_completion_s: acc.last_completion.as_secs_f64(),
-            stages: acc.stages,
-            slo,
-            admission: None,
-            members: Vec::new(),
-        });
-    }
-    let report = MultiTenantReport {
-        overall: SimReport::build(
-            all_latencies,
-            outcome.read_latencies,
-            outcome.write_latencies,
-            outcome.depth,
-            outcome.end,
-            outcome.events,
-            outcome.occupancy_mean,
-            outcome.occupancy_max,
-            overall_stages,
-        ),
-        tenants: summaries,
-    };
-    (report, run_telemetry)
+    let classes: Vec<TenantClass> = tenants.iter().map(TenantClass::solo).collect();
+    run_classes_core(config, &classes, policy, exec, Granularity::Class)
 }
 
 /// Accounting granularity of a class run (see [`run_classes`]).
-enum ClassGranularity {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Granularity {
     /// One engine tenant per class — the production mode, O(classes)
-    /// accounting regardless of member count. With `attribution` the
-    /// thinned per-member histograms are collected too.
-    Class { attribution: bool },
+    /// accounting regardless of member count.
+    Class,
+    /// [`Granularity::Class`] plus the thinned per-member histograms.
+    Attributed,
     /// One engine tenant per logical member: the *oracle* mode the
     /// equivalence suite compares against. The merged stream, routing and
     /// request table are identical to `Class` mode — only accounting
@@ -1353,32 +1107,27 @@ enum ClassGranularity {
     Member,
 }
 
-/// Runs the closed-form-merged streams of `classes` through the pipeline:
-/// one engine-level stream per class, so a million logical tenants cost
-/// O(classes) in the event loop. Classes with an [`crate::AdmissionSpec`]
-/// get per-class SLO admission control in the arrival path (reported via
-/// [`TenantSummary::admission`]).
+/// Runs the closed-form-merged streams of `classes` through the pipeline on
+/// `workers` accounting workers: one engine-level stream per class, so a
+/// million logical tenants cost O(classes) in the event loop. Classes with
+/// an [`crate::AdmissionSpec`] get per-class SLO admission control in the
+/// arrival path (reported via [`TenantSummary::admission`]). Bit-identical
+/// at any worker count.
 ///
 /// # Panics
 ///
-/// Panics if `classes` is empty, ids repeat, a class has zero members, or a
+/// Panics if `classes` is empty, ids repeat, a class has zero members, a
 /// class arms admission without an SLO or with a closed-loop process (a
-/// closed loop has no open-loop offered rate to project from).
+/// closed loop has no open-loop offered rate to project from), or `workers`
+/// is zero.
 pub fn run_classes(
     config: &SimConfig,
     classes: &[TenantClass],
     policy: QueuePairPolicy,
     workers: usize,
 ) -> MultiTenantReport {
-    run_classes_core(
-        config,
-        classes,
-        policy,
-        mode_for(workers),
-        TelemetrySpec::disabled(),
-        ClassGranularity::Class { attribution: false },
-    )
-    .0
+    let exec = Exec::workers(workers);
+    run_classes_core(config, classes, policy, exec, Granularity::Class).0
 }
 
 /// [`run_classes`] with run-level telemetry (see [`run_observed`]).
@@ -1390,14 +1139,8 @@ pub fn run_classes_observed(
     workers: usize,
     telemetry: TelemetrySpec,
 ) -> (MultiTenantReport, RunTelemetry) {
-    run_classes_core(
-        config,
-        classes,
-        policy,
-        mode_for(workers),
-        telemetry,
-        ClassGranularity::Class { attribution: false },
-    )
+    let exec = Exec::workers(workers).observed(telemetry);
+    run_classes_core(config, classes, policy, exec, Granularity::Class)
 }
 
 /// [`run_classes`] with thinned per-member attribution: each class's
@@ -1411,15 +1154,8 @@ pub fn run_classes_attributed(
     policy: QueuePairPolicy,
     workers: usize,
 ) -> MultiTenantReport {
-    run_classes_core(
-        config,
-        classes,
-        policy,
-        mode_for(workers),
-        TelemetrySpec::disabled(),
-        ClassGranularity::Class { attribution: true },
-    )
-    .0
+    let exec = Exec::workers(workers);
+    run_classes_core(config, classes, policy, exec, Granularity::Attributed).0
 }
 
 /// The equivalence oracle: runs the *same* merged streams as
@@ -1442,32 +1178,16 @@ pub fn run_class_members(
     policy: QueuePairPolicy,
     workers: usize,
 ) -> MultiTenantReport {
-    run_classes_core(
-        config,
-        classes,
-        policy,
-        mode_for(workers),
-        TelemetrySpec::disabled(),
-        ClassGranularity::Member,
-    )
-    .0
-}
-
-fn mode_for(workers: usize) -> EngineMode {
-    if workers <= 1 {
-        EngineMode::Inline
-    } else {
-        EngineMode::Sharded(workers)
-    }
+    let exec = Exec::workers(workers);
+    run_classes_core(config, classes, policy, exec, Granularity::Member).0
 }
 
 fn run_classes_core(
     config: &SimConfig,
     classes: &[TenantClass],
     policy: QueuePairPolicy,
-    mode: EngineMode,
-    telemetry: TelemetrySpec,
-    granularity: ClassGranularity,
+    exec: Exec<'_>,
+    granularity: Granularity,
 ) -> (MultiTenantReport, RunTelemetry) {
     assert!(!classes.is_empty(), "no classes to simulate");
     assert!(
@@ -1493,7 +1213,7 @@ fn run_classes_core(
                 c.id
             );
         }
-        if matches!(granularity, ClassGranularity::Member) {
+        if granularity == Granularity::Member {
             assert!(
                 c.admission.is_none()
                     && !matches!(c.member_arrival, ArrivalProcess::ClosedLoop { .. }),
@@ -1530,25 +1250,36 @@ fn run_classes_core(
             class_of.push(ci as u32);
             let k = k as u32;
             let qp = match policy {
+                // Devices first, local queues second — the legacy spread,
+                // but on the class's own arrival counter.
                 QueuePairPolicy::Shared => {
                     let device = k % config.num_ssds;
                     let local = (k / config.num_ssds) % config.queue_pairs_per_ssd;
                     device * config.queue_pairs_per_ssd + local
                 }
+                // Round-robin within the class's partition of the global
+                // queue-pair space.
                 QueuePairPolicy::WeightedFair => share_base[ci] + (k % shares[ci]),
             };
             qp_of.push(qp);
         }
     }
 
-    let (superposition, member_of) = Superposition::generate_classes(config.seed, classes, &bases);
+    let specs: Vec<TenantSpec> = classes.iter().map(TenantClass::merged_spec).collect();
+    let superposition = Superposition::generate(config.seed, &specs, &bases);
+    // Thinning costs a draw and a slot per request, so only runs that
+    // account members pay for it.
+    let member_of = match granularity {
+        Granularity::Class => Vec::new(),
+        _ => Superposition::thin(config.seed, classes, &bases),
+    };
 
     let mut issue: Vec<IssueState>;
     let tenant_of: Vec<u32>;
     let slo_windows: Vec<u64>;
     let mut admission: AdmissionState;
-    let attribution = match granularity {
-        ClassGranularity::Class { attribution } => {
+    match granularity {
+        Granularity::Class | Granularity::Attributed => {
             tenant_of = class_of;
             issue = classes
                 .iter()
@@ -1579,9 +1310,8 @@ fn run_classes_core(
                 })
                 .collect();
             admission = AdmissionState::new(ctls, requests.len());
-            attribution
         }
-        ClassGranularity::Member => {
+        Granularity::Member => {
             // One accounting slot per logical member, in (class, member)
             // order. Issue state is vestigial (open streams never refill).
             let mut member_base: Vec<u32> = Vec::with_capacity(classes.len());
@@ -1598,14 +1328,13 @@ fn run_classes_core(
             issue = (0..acc).map(|_| IssueState::new(0, 0, 0, None)).collect();
             slo_windows = vec![0; acc as usize];
             admission = AdmissionState::none();
-            false
         }
-    };
+    }
 
     let plan = ObsPlan {
-        telemetry,
+        telemetry: exec.telemetry,
         tenant_slo_windows: &slo_windows,
-        member_of: attribution.then_some(member_of.as_slice()),
+        member_of: (granularity == Granularity::Attributed).then_some(member_of.as_slice()),
     };
     let mut outcome = execute(
         config,
@@ -1615,107 +1344,31 @@ fn run_classes_core(
         &superposition.arrivals,
         &mut issue,
         &mut admission,
-        None,
-        mode,
+        exec,
         &plan,
     );
-    let series = std::mem::replace(&mut outcome.series, WindowedSeries::new(0));
-    let blame_rows = std::mem::take(&mut outcome.blame_rows);
-    let run_telemetry =
-        build_run_telemetry(series, blame_rows, &outcome.depth, telemetry.blame_top_k);
+    let run_telemetry = outcome.take_telemetry(exec.telemetry.blame_top_k);
 
+    // One report row per engine tenant: each class, or under the member
+    // oracle each `(class, member)` pair in that order.
+    let rows: Vec<(usize, Option<u32>)> = match granularity {
+        Granularity::Class | Granularity::Attributed => {
+            (0..classes.len()).map(|ci| (ci, None)).collect()
+        }
+        Granularity::Member => classes
+            .iter()
+            .enumerate()
+            .flat_map(|(ci, c)| (0..c.members).map(move |m| (ci, Some(m))))
+            .collect(),
+    };
     let mut all_latencies: Vec<u64> = Vec::with_capacity(requests.len());
     let mut overall_stages = StageBreakdown::new();
-    let mut summaries: Vec<TenantSummary> = Vec::new();
-    match granularity {
-        ClassGranularity::Class { .. } => {
-            for (ci, ((c, acc), &share)) in
-                classes.iter().zip(outcome.tenants).zip(&shares).enumerate()
-            {
-                all_latencies.extend_from_slice(&acc.latencies);
-                overall_stages.merge(&acc.stages);
-                let slo = c
-                    .slo
-                    .as_ref()
-                    .map(|spec| evaluate_slo(&acc.slo_series, spec));
-                let admission_report = c.admission.map(|_| {
-                    let depth_limit = admission.ctls[ci]
-                        .as_ref()
-                        .map_or(0, AdmissionCtl::depth_limit);
-                    crate::report::AdmissionReport {
-                        offered: acc.offered,
-                        admitted: acc.offered - acc.rejected,
-                        deferrals: acc.deferrals,
-                        rejected: acc.rejected,
-                        depth_limit,
-                    }
-                });
-                let members: Vec<crate::report::MemberSummary> = acc
-                    .members
-                    .into_iter()
-                    .map(|(member, histo)| crate::report::MemberSummary {
-                        member,
-                        completed: histo.count(),
-                        latency: crate::report::LatencySummary::from_histo(&histo),
-                        histogram: histo,
-                    })
-                    .collect();
-                let histo = bam_obs::LatencyHisto::from_samples(acc.latencies);
-                let first_arrival = acc.first_arrival.unwrap_or(SimTime::ZERO);
-                let span_s = (acc.last_completion - first_arrival) as f64 / 1e9;
-                summaries.push(TenantSummary {
-                    id: c.id,
-                    name: c.name.clone(),
-                    weight: c.weight,
-                    queue_pairs: share,
-                    latency: crate::report::LatencySummary::from_histo(&histo),
-                    completed: histo.count(),
-                    throughput_per_s: if span_s > 0.0 {
-                        histo.count() as f64 / span_s
-                    } else {
-                        0.0
-                    },
-                    first_arrival_s: first_arrival.as_secs_f64(),
-                    last_completion_s: acc.last_completion.as_secs_f64(),
-                    stages: acc.stages,
-                    slo,
-                    admission: admission_report,
-                    members,
-                });
-            }
-        }
-        ClassGranularity::Member => {
-            let mut accs = outcome.tenants.into_iter();
-            for (c, &share) in classes.iter().zip(&shares) {
-                for m in 0..c.members {
-                    let acc = accs.next().expect("one account per member");
-                    all_latencies.extend_from_slice(&acc.latencies);
-                    overall_stages.merge(&acc.stages);
-                    let histo = bam_obs::LatencyHisto::from_samples(acc.latencies);
-                    let first_arrival = acc.first_arrival.unwrap_or(SimTime::ZERO);
-                    let span_s = (acc.last_completion - first_arrival) as f64 / 1e9;
-                    summaries.push(TenantSummary {
-                        id: m,
-                        name: format!("{}#{m}", c.name),
-                        weight: c.weight,
-                        queue_pairs: share,
-                        latency: crate::report::LatencySummary::from_histo(&histo),
-                        completed: histo.count(),
-                        throughput_per_s: if span_s > 0.0 {
-                            histo.count() as f64 / span_s
-                        } else {
-                            0.0
-                        },
-                        first_arrival_s: first_arrival.as_secs_f64(),
-                        last_completion_s: acc.last_completion.as_secs_f64(),
-                        stages: acc.stages,
-                        slo: None,
-                        admission: None,
-                        members: Vec::new(),
-                    });
-                }
-            }
-        }
+    let mut summaries: Vec<TenantSummary> = Vec::with_capacity(rows.len());
+    for ((ci, member), acc) in rows.into_iter().zip(outcome.tenants) {
+        all_latencies.extend_from_slice(&acc.latencies);
+        overall_stages.merge(&acc.stages);
+        let ctl = admission.ctls.get(ci).and_then(Option::as_ref);
+        summaries.push(tenant_summary(&classes[ci], member, shares[ci], ctl, acc));
     }
     let report = MultiTenantReport {
         overall: SimReport::build(
@@ -1732,6 +1385,67 @@ fn run_classes_core(
         tenants: summaries,
     };
     (report, run_telemetry)
+}
+
+/// The report row of one engine tenant: class `c`'s aggregate, or with
+/// `member` one logical member of it (the oracle's rows carry no SLO).
+/// `ctl` is the class's admission controller, when armed.
+fn tenant_summary(
+    c: &TenantClass,
+    member: Option<u32>,
+    queue_pairs: u32,
+    ctl: Option<&AdmissionCtl>,
+    acc: TenantAcc,
+) -> TenantSummary {
+    let (id, name, slo) = match member {
+        None => (
+            c.id,
+            c.name.clone(),
+            c.slo
+                .as_ref()
+                .map(|spec| evaluate_slo(&acc.slo_series, spec)),
+        ),
+        Some(m) => (m, format!("{}#{m}", c.name), None),
+    };
+    let admission = ctl.map(|ctl| AdmissionReport {
+        offered: acc.offered,
+        admitted: acc.offered - acc.rejected,
+        deferrals: acc.deferrals,
+        rejected: acc.rejected,
+        depth_limit: ctl.depth_limit(),
+    });
+    let members: Vec<MemberSummary> = acc
+        .members
+        .into_iter()
+        .map(|(member, histo)| MemberSummary {
+            member,
+            completed: histo.count(),
+            latency: LatencySummary::from_histo(&histo),
+            histogram: histo,
+        })
+        .collect();
+    let histo = bam_obs::LatencyHisto::from_samples(acc.latencies);
+    let first_arrival = acc.first_arrival.unwrap_or(SimTime::ZERO);
+    let span_s = (acc.last_completion - first_arrival) as f64 / 1e9;
+    TenantSummary {
+        id,
+        name,
+        weight: c.weight,
+        queue_pairs,
+        latency: LatencySummary::from_histo(&histo),
+        completed: histo.count(),
+        throughput_per_s: if span_s > 0.0 {
+            histo.count() as f64 / span_s
+        } else {
+            0.0
+        },
+        first_arrival_s: first_arrival.as_secs_f64(),
+        last_completion_s: acc.last_completion.as_secs_f64(),
+        stages: acc.stages,
+        slo,
+        admission,
+        members,
+    }
 }
 
 /// Convenience: `n` identical round-robin reads of the pipeline's access
@@ -1762,6 +1476,8 @@ mod tests {
     use bam_nvme_sim::SsdSpec;
     use bam_pcie::LinkSpec;
 
+    use crate::tenant::AdmissionSpec;
+
     fn optane_config(num_ssds: u32, queue_pairs_per_ssd: u32, bytes: u64, seed: u64) -> SimConfig {
         SimConfig {
             seed,
@@ -1784,7 +1500,7 @@ mod tests {
             ..cfg
         };
         let reqs = uniform_reads(&cfg, 1);
-        let report = run(&cfg, Workload::ClosedLoop { in_flight: 1 }, &reqs);
+        let report = run_sharded(&cfg, Workload::ClosedLoop { in_flight: 1 }, &reqs, 1);
         assert_eq!(report.completed, 1);
         let expected = cfg.pipeline.unloaded_read_latency_us();
         assert!(
@@ -1800,7 +1516,7 @@ mod tests {
         // requests the simulated throughput should come within ~10%.
         let cfg = optane_config(1, 128, 512, 2);
         let reqs = uniform_reads(&cfg, 60_000);
-        let report = run(&cfg, Workload::ClosedLoop { in_flight: 1024 }, &reqs);
+        let report = run_sharded(&cfg, Workload::ClosedLoop { in_flight: 1024 }, &reqs, 1);
         let miops = report.throughput_per_s / 1e6;
         assert!((4.6..5.7).contains(&miops), "throughput {miops} MIOPS");
     }
@@ -1810,8 +1526,8 @@ mod tests {
         // The left edge of Fig 4: 16 in flight over ~11us is ~1.45M IOPS.
         let cfg = optane_config(1, 128, 512, 3);
         let reqs = uniform_reads(&cfg, 20_000);
-        let low = run(&cfg, Workload::ClosedLoop { in_flight: 16 }, &reqs);
-        let high = run(&cfg, Workload::ClosedLoop { in_flight: 1024 }, &reqs);
+        let low = run_sharded(&cfg, Workload::ClosedLoop { in_flight: 16 }, &reqs, 1);
+        let high = run_sharded(&cfg, Workload::ClosedLoop { in_flight: 1024 }, &reqs, 1);
         assert!(
             low.throughput_per_s < high.throughput_per_s * 0.5,
             "low {} high {}",
@@ -1827,8 +1543,8 @@ mod tests {
         let plenty = optane_config(4, 32, 4096, 4);
         let starved = optane_config(4, 2, 4096, 4);
         let reqs = uniform_reads(&plenty, 40_000);
-        let fast = run(&plenty, Workload::ClosedLoop { in_flight: 2048 }, &reqs);
-        let slow = run(&starved, Workload::ClosedLoop { in_flight: 2048 }, &reqs);
+        let fast = run_sharded(&plenty, Workload::ClosedLoop { in_flight: 2048 }, &reqs, 1);
+        let slow = run_sharded(&starved, Workload::ClosedLoop { in_flight: 2048 }, &reqs, 1);
         assert!(
             slow.throughput_per_s < fast.throughput_per_s * 0.4,
             "starved {} vs plenty {}",
@@ -1843,16 +1559,18 @@ mod tests {
     fn deterministic_across_runs_same_seed() {
         let cfg = optane_config(2, 16, 4096, 42);
         let reqs = mixed_requests(&cfg, 10_000, 1_000);
-        let a = run(&cfg, Workload::ClosedLoop { in_flight: 256 }, &reqs);
-        let b = run(&cfg, Workload::ClosedLoop { in_flight: 256 }, &reqs);
+        let closed = Workload::ClosedLoop { in_flight: 256 };
+        let a = run_sharded(&cfg, closed, &reqs, 1);
+        let b = run_sharded(&cfg, closed, &reqs, 1);
         assert_eq!(a, b);
-        let c = run(
+        let c = run_sharded(
             &SimConfig {
                 seed: 43,
                 ..cfg.clone()
             },
-            Workload::ClosedLoop { in_flight: 256 },
+            closed,
             &reqs,
+            1,
         );
         assert_ne!(a.sorted_latencies_ns, c.sorted_latencies_ns);
     }
@@ -1862,7 +1580,7 @@ mod tests {
         let cfg = optane_config(1, 64, 512, 5);
         let reqs = uniform_reads(&cfg, 50_000);
         // 2M/s against ~11us → ~22 in flight.
-        let report = run(&cfg, Workload::OpenLoop { rate_per_s: 2.0e6 }, &reqs);
+        let report = run_sharded(&cfg, Workload::OpenLoop { rate_per_s: 2.0e6 }, &reqs, 1);
         let measured = report.depth.steady_state_mean();
         let littles = report.littles_in_flight();
         assert!(
@@ -1890,26 +1608,25 @@ mod tests {
         )
     }
 
+    fn antagonist_mmpp() -> crate::dist::Mmpp2 {
+        crate::dist::Mmpp2 {
+            calm_rate_per_s: 50.0e3,
+            burst_rate_per_s: 1.6e6,
+            mean_calm_s: 4.0e-3,
+            mean_burst_s: 1.0e-3,
+        }
+    }
+
     #[test]
     fn run_tenants_is_deterministic_per_seed() {
         let cfg = optane_config(4, 2, 4096, 21);
         let tenants = [
             steady(0, 100.0e3, 4_000),
-            TenantSpec::new(
-                1,
-                "burst",
-                ArrivalProcess::Mmpp(crate::dist::Mmpp2 {
-                    calm_rate_per_s: 50.0e3,
-                    burst_rate_per_s: 1.6e6,
-                    mean_calm_s: 4.0e-3,
-                    mean_burst_s: 1.0e-3,
-                }),
-                8_000,
-            ),
+            TenantSpec::new(1, "burst", ArrivalProcess::Mmpp(antagonist_mmpp()), 8_000),
         ];
         for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-            let a = run_tenants(&cfg, &tenants, policy);
-            let b = run_tenants(&cfg, &tenants, policy);
+            let a = run_tenants_sharded(&cfg, &tenants, policy, 1);
+            let b = run_tenants_sharded(&cfg, &tenants, policy, 1);
             assert_eq!(a, b);
         }
     }
@@ -1933,7 +1650,7 @@ mod tests {
                 20_000,
             ),
         ];
-        let report = run_tenants(&cfg, &tenants, QueuePairPolicy::Shared);
+        let report = run_tenants_sharded(&cfg, &tenants, QueuePairPolicy::Shared, 1);
         assert_eq!(report.overall.completed, 40_000);
         assert!(
             (report.overall.throughput_per_s / 2.0e6 - 1.0).abs() < 0.02,
@@ -1951,21 +1668,12 @@ mod tests {
         let cfg = optane_config(4, 2, 4096, 23);
         let mut heavy = steady(0, 100.0e3, 2_000);
         heavy.weight = 3;
-        let light = steady(1, 100.0e3, 2_000);
-        let report = run_tenants(&cfg, &[heavy, light], QueuePairPolicy::WeightedFair);
+        let tenants = [heavy, steady(1, 100.0e3, 2_000)];
+        let report = run_tenants_sharded(&cfg, &tenants, QueuePairPolicy::WeightedFair, 1);
         assert_eq!(report.tenants[0].queue_pairs, 6);
         assert_eq!(report.tenants[1].queue_pairs, 2);
         // Shared policy reports the whole array for everyone.
-        let heavy = {
-            let mut t = steady(0, 100.0e3, 2_000);
-            t.weight = 3;
-            t
-        };
-        let shared = run_tenants(
-            &cfg,
-            &[heavy, steady(1, 100.0e3, 2_000)],
-            QueuePairPolicy::Shared,
-        );
+        let shared = run_tenants_sharded(&cfg, &tenants, QueuePairPolicy::Shared, 1);
         assert!(shared.tenants.iter().all(|t| t.queue_pairs == 8));
     }
 
@@ -1981,7 +1689,7 @@ mod tests {
             ),
             steady(1, 200.0e3, 2_000),
         ];
-        let report = run_tenants(&cfg, &tenants, QueuePairPolicy::Shared);
+        let report = run_tenants_sharded(&cfg, &tenants, QueuePairPolicy::Shared, 1);
         assert_eq!(report.overall.completed, 22_000);
         let cl = report.tenant(0).unwrap();
         let open = report.tenant(1).unwrap();
@@ -1996,7 +1704,7 @@ mod tests {
         let cfg = optane_config(1, 8, 512, 25);
         let mut t = steady(0, 1.0e6, 10);
         t.writes = 3;
-        let report = run_tenants(&cfg, &[t], QueuePairPolicy::Shared);
+        let report = run_tenants_sharded(&cfg, &[t], QueuePairPolicy::Shared, 1);
         assert_eq!(report.overall.completed, 10);
         // The run exercises the write path (slower media): latency spread
         // between p50 and max reflects the two service classes.
@@ -2008,7 +1716,29 @@ mod tests {
     fn run_tenants_rejects_duplicate_ids() {
         let cfg = optane_config(1, 8, 512, 26);
         let tenants = [steady(0, 1.0e5, 10), steady(0, 1.0e5, 10)];
-        run_tenants(&cfg, &tenants, QueuePairPolicy::Shared);
+        run_tenants_sharded(&cfg, &tenants, QueuePairPolicy::Shared, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn observed_runs_reject_zero_workers() {
+        let cfg = optane_config(1, 8, 512, 27);
+        let reqs = uniform_reads(&cfg, 10);
+        run_observed(
+            &cfg,
+            Workload::ClosedLoop { in_flight: 4 },
+            &reqs,
+            0,
+            TelemetrySpec::disabled(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn class_runs_reject_zero_workers() {
+        let cfg = optane_config(1, 8, 512, 28);
+        let class = TenantClass::new(0, "c", 4, ArrivalProcess::Poisson { rate_per_s: 1.0e4 }, 10);
+        run_classes(&cfg, &[class], QueuePairPolicy::Shared, 0);
     }
 
     #[test]
@@ -2024,8 +1754,9 @@ mod tests {
             ..base.clone()
         };
         let reqs = mixed_requests(&base, 1_000, 250);
-        let plain = run(&base, Workload::OpenLoop { rate_per_s: 1.0e6 }, &reqs);
-        let durable = run(&journalled, Workload::OpenLoop { rate_per_s: 1.0e6 }, &reqs);
+        let open = Workload::OpenLoop { rate_per_s: 1.0e6 };
+        let plain = run_sharded(&base, open, &reqs, 1);
+        let durable = run_sharded(&journalled, open, &reqs, 1);
         assert_eq!(plain.read_latency.count, 750);
         assert_eq!(plain.write_latency.count, 250);
         assert_eq!(durable.read_latency, plain.read_latency);
@@ -2050,8 +1781,8 @@ mod tests {
             ..cfg.clone()
         };
         let reqs = mixed_requests(&cfg, 8_000, 2_000);
-        let a = run(&cfg, Workload::ClosedLoop { in_flight: 256 }, &reqs);
-        let b = run(&zeroed, Workload::ClosedLoop { in_flight: 256 }, &reqs);
+        let a = run_sharded(&cfg, Workload::ClosedLoop { in_flight: 256 }, &reqs, 1);
+        let b = run_sharded(&zeroed, Workload::ClosedLoop { in_flight: 256 }, &reqs, 1);
         assert_eq!(a, b);
     }
 
@@ -2066,7 +1797,7 @@ mod tests {
             ..cfg
         };
         let reqs = mixed_requests(&cfg, 5_000, 1_500);
-        let report = run(&cfg, Workload::ClosedLoop { in_flight: 128 }, &reqs);
+        let report = run_sharded(&cfg, Workload::ClosedLoop { in_flight: 128 }, &reqs, 1);
         let total_latency_ns: u64 = report.sorted_latencies_ns.iter().sum();
         assert_eq!(report.stages.total_ns(), total_latency_ns);
         // Every pipeline stage saw every request; journal flush only writes.
@@ -2088,12 +1819,13 @@ mod tests {
     fn tracing_changes_nothing_and_is_deterministic() {
         let cfg = optane_config(2, 8, 4096, 32);
         let reqs = mixed_requests(&cfg, 3_000, 600);
-        let plain = run(&cfg, Workload::ClosedLoop { in_flight: 256 }, &reqs);
+        let closed = Workload::ClosedLoop { in_flight: 256 };
+        let plain = run_sharded(&cfg, closed, &reqs, 1);
         let rec_a = SpanRecorder::with_capacity(1 << 20);
-        let traced = run_traced(&cfg, Workload::ClosedLoop { in_flight: 256 }, &reqs, &rec_a);
+        let traced = run_sharded_traced(&cfg, closed, &reqs, 1, &rec_a);
         assert_eq!(plain, traced, "tracing must not perturb the simulation");
         let rec_b = SpanRecorder::with_capacity(1 << 20);
-        run_traced(&cfg, Workload::ClosedLoop { in_flight: 256 }, &reqs, &rec_b);
+        run_sharded_traced(&cfg, closed, &reqs, 1, &rec_b);
         assert_eq!(
             rec_a.events(),
             rec_b.events(),
@@ -2112,7 +1844,7 @@ mod tests {
     fn zero_request_tenant_is_legal_and_zeroed() {
         let cfg = optane_config(4, 2, 4096, 33);
         let tenants = [steady(0, 100.0e3, 2_000), steady(1, 100.0e3, 0)];
-        let report = run_tenants(&cfg, &tenants, QueuePairPolicy::Shared);
+        let report = run_tenants_sharded(&cfg, &tenants, QueuePairPolicy::Shared, 1);
         assert_eq!(report.overall.completed, 2_000);
         let idle = report.tenant(1).unwrap();
         assert_eq!(idle.completed, 0);
@@ -2124,112 +1856,154 @@ mod tests {
         assert_eq!(ratio, 1.0);
     }
 
-    /// Drives `execute` directly so tests can read spine internals
-    /// (peak heap occupancy) that reports deliberately omit.
-    fn probe(
-        cfg: &SimConfig,
-        workload: Workload,
-        requests: &[RequestDesc],
-        mode: EngineMode,
-    ) -> EngineOutput {
-        let qp_of = legacy_qp_of(cfg, requests);
-        let arrivals = workload_arrivals(workload, requests.len() as u64);
-        let refill = match workload {
-            Workload::ClosedLoop { in_flight } => Some(in_flight),
-            Workload::OpenLoop { .. } => None,
-        };
-        let mut issue = [IssueState::new(
-            0,
-            requests.len() as u64,
-            arrivals.len() as u64,
-            refill,
-        )];
-        execute(
-            cfg,
-            requests,
-            &vec![0; requests.len()],
-            &qp_of,
-            &arrivals,
-            &mut issue,
-            &mut AdmissionState::none(),
-            None,
-            mode,
-            &ObsPlan {
-                telemetry: TelemetrySpec::disabled(),
-                tenant_slo_windows: &[0],
-                member_of: None,
-            },
-        )
-    }
-
     #[test]
     fn heap_reservation_covers_the_peak() {
-        // Regression for the historical `with_capacity(arrivals.len())`
-        // under-reservation: each request schedules ~6 runtime events beyond
-        // its arrival, so the old reservation reallocated several times per
-        // run. The engine now asserts peak ≤ reserved internally; this test
-        // additionally pins the arithmetic at both workload shapes.
+        // The spine feeds pre-scheduled arrivals from a cursor, so the heap
+        // holds in-flight work only and the reservation is sized by the
+        // request count, never by the arrival stream. The engine asserts
+        // peak ≤ reserved internally; this test pins the arithmetic.
+        let peak = |cfg: &SimConfig, workload, reqs: &[RequestDesc]| {
+            let out = execute_single(cfg, workload, reqs, Exec::workers(1));
+            let reserved = heap_reservation(reqs.len(), cfg.total_queue_pairs());
+            assert!(out.peak_queued > 0 && out.peak_queued <= reserved);
+            out.peak_queued
+        };
         let cfg = optane_config(4, 2, 4096, 51);
         let reqs = uniform_reads(&cfg, 20_000);
-        for workload in [
-            Workload::OpenLoop { rate_per_s: 6.0e6 },
-            Workload::ClosedLoop { in_flight: 2048 },
-        ] {
-            let out = probe(&cfg, workload, &reqs, EngineMode::Inline);
-            assert!(out.peak_queued > 0);
-            let arrivals = match workload {
-                Workload::OpenLoop { .. } => reqs.len(),
-                Workload::ClosedLoop { in_flight } => in_flight as usize,
-            };
-            assert!(
-                out.peak_queued <= heap_reservation(arrivals, reqs.len(), cfg.total_queue_pairs()),
-                "peak {} vs reservation",
-                out.peak_queued
-            );
-            // The old reservation really was too small for this workload.
-            assert!(
-                out.peak_queued > arrivals.min(2048),
-                "peak {} should exceed the historical arrivals-only reservation",
-                out.peak_queued
-            );
-        }
-    }
-
-    #[test]
-    fn cursor_fed_spine_keeps_the_heap_small() {
-        // The sharded spine feeds pre-scheduled arrivals from a sorted
-        // cursor instead of heap-loading them: on an open-loop run the heap
-        // holds only in-flight work, far below the inline engine's
-        // arrivals-dominated peak — while producing the identical report.
-        let cfg = optane_config(4, 4, 4096, 52);
-        let reqs = uniform_reads(&cfg, 20_000);
-        let open = Workload::OpenLoop { rate_per_s: 5.0e6 };
-        let inline = probe(&cfg, open, &reqs, EngineMode::Inline);
-        let sharded = probe(&cfg, open, &reqs, EngineMode::Sharded(2));
-        assert_eq!(inline.events, sharded.events);
+        peak(&cfg, Workload::ClosedLoop { in_flight: 2048 }, &reqs);
+        // The open loop's 20,000 arrivals never enter the heap: requests
+        // waiting on the starved queue pairs sit in their centers' FIFOs.
+        let open = peak(&cfg, Workload::OpenLoop { rate_per_s: 6.0e6 }, &reqs);
+        assert!(open * 100 < reqs.len(), "open-loop peak {open}");
+        // Unbounded media channels: ~10,000 requests in flight at once, each
+        // holding one pending departure, so the per-request term of the
+        // reservation is the one that covers this peak.
+        let delay = SimConfig::worked_example(1_000.0, 52);
+        let reqs = uniform_reads(&delay, 20_000);
+        let busy = peak(&delay, Workload::OpenLoop { rate_per_s: 1.0e7 }, &reqs);
         assert!(
-            sharded.peak_queued * 4 < inline.peak_queued,
-            "cursor peak {} vs heap-fed peak {}",
-            sharded.peak_queued,
-            inline.peak_queued
+            busy > heap_reservation(0, delay.total_queue_pairs()),
+            "peak {busy}"
         );
     }
 
+    /// Runs one single-workload shape on the reference arm and on the
+    /// coordinator at one worker — traced into a `span_capacity` ring, with
+    /// full telemetry — and requires every output to match; the untraced,
+    /// unobserved public run must report the same too.
+    fn assert_single_matches(
+        name: &str,
+        cfg: &SimConfig,
+        workload: Workload,
+        reqs: &[RequestDesc],
+        span_capacity: usize,
+    ) -> SpanRecorder {
+        let spec = TelemetrySpec::full(50_000, 8);
+        let rec_ref = SpanRecorder::with_capacity(span_capacity);
+        let rec_one = SpanRecorder::with_capacity(span_capacity);
+        let exec = Exec::workers(1).observed(spec);
+        let reference = Exec {
+            arm: Arm::Reference,
+            ..exec.traced(&rec_ref)
+        };
+        let reference = run_with(cfg, workload, reqs, reference);
+        let sharded = run_with(cfg, workload, reqs, exec.traced(&rec_one));
+        assert_eq!(reference, sharded, "{name}");
+        assert_eq!(rec_ref.events(), rec_one.events(), "{name}: spans");
+        assert_eq!(rec_ref.dropped(), rec_one.dropped(), "{name}: drops");
+        let untraced = run_sharded(cfg, workload, reqs, 1);
+        assert_eq!(reference.0, untraced, "{name}: untraced");
+        rec_ref
+    }
+
     #[test]
-    fn sharded_report_matches_inline_bit_for_bit() {
-        // The full differential suite lives in tests/parallel_equivalence.rs;
-        // this is the in-crate smoke check on a mixed closed-loop run.
-        let cfg = optane_config(2, 16, 4096, 42);
-        let reqs = mixed_requests(&cfg, 10_000, 1_000);
-        let inline = run(&cfg, Workload::ClosedLoop { in_flight: 256 }, &reqs);
-        for workers in [1, 2, 4] {
-            let sharded = run_sharded(
-                &cfg,
-                Workload::ClosedLoop { in_flight: 256 },
-                &reqs,
-                workers,
+    fn reference_matches_the_coordinator_on_single_workloads() {
+        let starved = optane_config(4, 2, 4096, 4);
+        let reqs = uniform_reads(&starved, 6_000);
+        let closed = Workload::ClosedLoop { in_flight: 2048 };
+        assert_single_matches("closed", &starved, closed, &reqs, 1 << 20);
+        let wide = optane_config(4, 128, 4096, 9);
+        let open = Workload::OpenLoop { rate_per_s: 3.0e6 };
+        assert_single_matches("open", &wide, open, &reqs, 1 << 20);
+        let base = optane_config(2, 4, 4096, 23);
+        let journalled = SimConfig {
+            pipeline: base.pipeline.with_journal_flush(48),
+            ..base
+        };
+        let mixed = mixed_requests(&journalled, 4_000, 1_500);
+        let closed = Workload::ClosedLoop { in_flight: 128 };
+        assert_single_matches("journalled", &journalled, closed, &mixed, 1 << 20);
+        // A ring smaller than the span stream: both arms wrap and drop
+        // identically.
+        let small = optane_config(2, 8, 4096, 77);
+        let reqs = uniform_reads(&small, 2_000);
+        let closed = Workload::ClosedLoop { in_flight: 64 };
+        let rec = assert_single_matches("overflow", &small, closed, &reqs, 1024);
+        assert!(rec.dropped() > 0, "stream must overflow the ring");
+    }
+
+    #[test]
+    fn reference_matches_the_coordinator_on_tenants_and_classes() {
+        let cfg = optane_config(4, 2, 4096, 13);
+        let mut tenants: Vec<TenantSpec> = (0..4)
+            .map(|i| steady(i, 100.0e3, 1_500).with_slo(30.0, 500_000))
+            .collect();
+        tenants.push(TenantSpec::new(
+            100,
+            "antagonist",
+            ArrivalProcess::Mmpp(antagonist_mmpp()),
+            5_400,
+        ));
+        tenants.push(TenantSpec::new(
+            200,
+            "closed",
+            ArrivalProcess::ClosedLoop { in_flight: 32 },
+            3_000,
+        ));
+        let admission = AdmissionSpec {
+            burst: 8,
+            refill_per_s: 1_000.0,
+            defer_ns: 200_000,
+            max_defers: 2,
+        };
+        let poisson = |rate_per_s| ArrivalProcess::Poisson { rate_per_s };
+        let armed = vec![
+            TenantClass::new(0, "steady", 10_000, poisson(150.0), 8_000)
+                .with_slo(30.0, 1_000_000)
+                .with_admission(admission),
+            TenantClass::new(5, "background", 1_000, poisson(50.0), 1_000)
+                .with_slo(60.0, 1_000_000),
+        ];
+        let spec = TelemetrySpec::full(100_000, 8);
+        let lowered: Vec<TenantClass> = tenants.iter().map(TenantClass::solo).collect();
+        for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
+            for (classes, granularity) in [
+                (&lowered, Granularity::Class),
+                (&armed, Granularity::Attributed),
+            ] {
+                let rec_ref = SpanRecorder::with_capacity(1 << 20);
+                let rec_one = SpanRecorder::with_capacity(1 << 20);
+                let exec = Exec::workers(1).observed(spec);
+                let reference = Exec {
+                    arm: Arm::Reference,
+                    ..exec.traced(&rec_ref)
+                };
+                let reference = run_classes_core(&cfg, classes, policy, reference, granularity);
+                let exec = exec.traced(&rec_one);
+                let sharded = run_classes_core(&cfg, classes, policy, exec, granularity);
+                assert_eq!(reference, sharded, "{granularity:?} {policy:?}");
+                assert_eq!(rec_ref.events(), rec_one.events(), "{policy:?}");
+                assert_eq!(reference.0.prom_export(), sharded.0.prom_export());
+            }
+            // The armed class really deferred in this run.
+            let adm = run_classes(&cfg, &armed, policy, 1).tenants[0].admission;
+            assert!(adm.expect("armed class reports admission").deferrals > 0);
+            // The public tenant entry point is the lowered class run.
+            assert_eq!(
+                run_tenants_observed(&cfg, &tenants, policy, 1, spec),
+                run_classes_observed(&cfg, &lowered, policy, 1, spec),
+                "{policy:?}"
             );
-            assert_eq!(inline, sharded, "workers={workers}");
         }
     }
 
@@ -2243,8 +2017,9 @@ mod tests {
             .iter()
             .map(|r| RequestDesc { write: true, ..*r })
             .collect();
-        let r = run(&cfg, Workload::ClosedLoop { in_flight: 1024 }, &reads);
-        let w = run(&cfg, Workload::ClosedLoop { in_flight: 1024 }, &writes);
+        let closed = Workload::ClosedLoop { in_flight: 1024 };
+        let r = run_sharded(&cfg, closed, &reads, 1);
+        let w = run_sharded(&cfg, closed, &writes, 1);
         assert!(
             w.sim_time_s > r.sim_time_s * 2.0,
             "writes {} reads {}",

@@ -14,7 +14,8 @@
 //!   media → DMA → completion pipeline, parameterized from the Table-2
 //!   [`bam_nvme_sim::SsdSpec`]s and [`bam_pcie::LinkSpec`] occupancies.
 //! * [`engine`] — the event loop: FIFO service centers per queue pair,
-//!   media-channel pool per SSD, per-device and shared PCIe links.
+//!   media-channel pool per SSD, per-device and shared PCIe links. Every
+//!   run takes a `workers` count and is bit-identical at any value of it.
 //! * [`tenant`] — multi-tenant workloads: [`tenant::TenantSpec`] arrival
 //!   sources (fixed-rate, Poisson, closed-loop, and [`dist::Mmpp2`] bursts)
 //!   superposed into one stream ([`tenant::Superposition`]), with queue
@@ -38,10 +39,12 @@
 //! // 512B reads at 6.35M IOPS against 11us latency...
 //! let config = SimConfig::worked_example(11.0, 1);
 //! let requests = engine::uniform_reads(&config, 20_000);
-//! let report = engine::run(
+//! let workers = 1;
+//! let report = engine::run_sharded(
 //!     &config,
 //!     Workload::OpenLoop { rate_per_s: 6.35e6 },
 //!     &requests,
+//!     workers,
 //! );
 //! // ...needs ~70 requests in flight (T x L, Little's law).
 //! let in_flight = report.depth.steady_state_mean();
@@ -68,11 +71,9 @@ pub use bam_obs::{
 pub use clock::SimTime;
 pub use dist::{LatencyDist, Mmpp2, MmppDwellStats};
 pub use engine::{
-    run, run_class_members, run_classes, run_classes_attributed, run_classes_observed,
-    run_observed, run_sharded, run_sharded_traced, run_tenants, run_tenants_observed,
-    run_tenants_sharded, run_tenants_sharded_traced, run_tenants_traced, run_tenants_with_workers,
-    run_traced, run_traced_with_workers, run_with_workers, uniform_reads, RequestDesc, SimConfig,
-    TelemetrySpec, Workload,
+    run_class_members, run_classes, run_classes_attributed, run_classes_observed, run_observed,
+    run_sharded, run_sharded_traced, run_tenants_observed, run_tenants_sharded,
+    run_tenants_sharded_traced, uniform_reads, RequestDesc, SimConfig, TelemetrySpec, Workload,
 };
 pub use pipeline::{fair_shares, tail_sigma, PipelineParams, QueuePairPolicy};
 pub use report::{

@@ -139,7 +139,7 @@ pub struct SimReport {
     pub completed: u64,
     /// Discrete events the engine processed to produce this run — the unit
     /// the `engine` benchmark's events/s throughput is measured in.
-    /// Identical for the inline and sharded engines on the same workload.
+    /// Identical at every worker count on the same workload.
     pub events: u64,
     /// Total simulated duration in seconds.
     pub sim_time_s: f64,
@@ -457,9 +457,8 @@ impl MultiTenantReport {
 
 /// Run-level telemetry of one observed run: the windowed series plus the
 /// blame decomposition described by the run's
-/// [`crate::engine::TelemetrySpec`]. Bit-identical between the inline and
-/// sharded engines at any worker count — the property
-/// `tests/parallel_equivalence.rs` asserts.
+/// [`crate::engine::TelemetrySpec`]. Bit-identical at any worker count —
+/// the property `tests/parallel_equivalence.rs` asserts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunTelemetry {
     /// Fixed-window counters and samples over virtual time.

@@ -1,4 +1,4 @@
-//! Per-shard accounting for the sharded engine.
+//! Per-shard accounting for the engine.
 //!
 //! The timing spine (`engine::drive_events`) owns every service center and
 //! the one seeded RNG — the global RNG draw order is part of the engine's
@@ -11,20 +11,18 @@
 //!
 //! Every record about a request routes to the shard of the request's queue
 //! pair, so a shard sees its own requests' records in global `(time, seq)`
-//! order — exactly the order the inline engine would have applied them.
-//! Merging shard results back (see [`merge_tenants`] and
-//! [`occupancy_stats`]) reproduces the inline accounting bit for bit.
+//! order — exactly the order one un-sharded [`Accounting`] would apply them
+//! in. Merging shard results back (see [`merge_tenants`] and
+//! [`occupancy_stats`]) reproduces that un-sharded accounting bit for bit.
 
-use bam_obs::{
-    BlameMark, BlameRow, SpanEvent, SpanId, SpanRecorder, Stage, StageBreakdown, WindowedSeries,
-};
+use bam_obs::{BlameMark, BlameRow, SpanEvent, SpanId, Stage, StageBreakdown, WindowedSeries};
 
 use crate::clock::SimTime;
 use crate::engine::{RequestDesc, TelemetrySpec};
 
-/// What observability the engines collect during a run: the run-level
+/// What observability the engine collects during a run: the run-level
 /// telemetry spec plus each tenant's SLO evaluation window (0 = none).
-/// Both engines receive the same plan, so their outputs stay comparable.
+/// Every shard receives the same plan, so their outputs merge.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ObsPlan<'a> {
     pub(crate) telemetry: TelemetrySpec,
@@ -63,9 +61,9 @@ impl OccupancyMeter {
     }
 }
 
-/// Mean-over-queue-pairs and global max of a meter bank. Both engines fold
-/// meters in ascending queue-pair order, so the f64 summation order — and
-/// therefore the reported mean — is identical.
+/// Mean-over-queue-pairs and global max of a meter bank. Meters are always
+/// folded in ascending queue-pair order, so the f64 summation order — and
+/// therefore the reported mean — is identical at any shard count.
 pub(crate) fn occupancy_stats(meters: &[OccupancyMeter], end: SimTime) -> (f64, u64) {
     let mean = if meters.is_empty() {
         0.0
@@ -237,23 +235,14 @@ pub(crate) fn merge_tenants(parts: Vec<Vec<TenantAcc>>) -> Vec<TenantAcc> {
     merged
 }
 
-/// Where a shard's span events go: straight into the caller's recorder
-/// (inline engine), into an index-tagged buffer for the post-run merge
-/// (sharded engine), or nowhere (untraced).
-pub(crate) enum SpanOut<'a> {
-    None,
-    Direct(&'a SpanRecorder),
-    Buffered(Vec<(u64, SpanEvent)>),
-}
-
-/// One shard's accounting state: everything the inline engine used to track
-/// per request and per tenant, applied from the record stream instead of
-/// inside the event loop.
+/// One shard's accounting state: everything tracked per request and per
+/// tenant, applied from the record stream rather than inside the event
+/// loop.
 ///
 /// `local_of` densely remaps request ids onto this shard's own slots so the
 /// per-request arrays cost memory proportional to the shard's share, not the
-/// whole run ([`None`] means the identity map — the inline engine accounts
-/// every request).
+/// whole run ([`None`] means the identity map — the test-only un-sharded
+/// reference accounts every request).
 pub(crate) struct Accounting<'a> {
     requests: &'a [RequestDesc],
     tenant_of: &'a [u32],
@@ -272,7 +261,9 @@ pub(crate) struct Accounting<'a> {
     pub(crate) read_latencies: Vec<u64>,
     /// Completed-write latencies, in completion order.
     pub(crate) write_latencies: Vec<u64>,
-    pub(crate) spans: SpanOut<'a>,
+    /// Span events tagged with their emission index, for the post-run
+    /// merge (`None` when untraced).
+    spans: Option<Vec<(u64, SpanEvent)>>,
     /// Run-level windowed telemetry (disabled — window 0 — when the plan
     /// asks for none; every record is then a single branch).
     pub(crate) series: WindowedSeries,
@@ -293,7 +284,7 @@ impl<'a> Accounting<'a> {
         slots: usize,
         total_qps: u32,
         plan: &ObsPlan<'a>,
-        spans: SpanOut<'a>,
+        traced: bool,
     ) -> Self {
         let blame = plan.telemetry.blame;
         Self {
@@ -312,7 +303,7 @@ impl<'a> Accounting<'a> {
                 .collect(),
             read_latencies: Vec::new(),
             write_latencies: Vec::new(),
-            spans,
+            spans: traced.then(Vec::new),
             series: WindowedSeries::new(plan.telemetry.window_ns),
             rows: if blame {
                 (0..slots)
@@ -361,20 +352,11 @@ impl<'a> Accounting<'a> {
                 service_ns,
             });
         }
-        match &mut self.spans {
-            SpanOut::None => {}
-            SpanOut::Direct(rec) => rec.record(Self::span_event(
-                self.requests,
-                self.qp_of,
-                req,
-                stage,
-                start,
-                now,
-            )),
-            SpanOut::Buffered(buf) => buf.push((
+        if let Some(buf) = &mut self.spans {
+            buf.push((
                 idx,
                 Self::span_event(self.requests, self.qp_of, req, stage, start, now),
-            )),
+            ));
         }
         self.last_mark[slot] = now;
     }
@@ -399,7 +381,7 @@ impl<'a> Accounting<'a> {
 
     /// Applies one record. Records arrive in global `(time, seq)` order for
     /// this shard's requests and queue pairs, so the state transitions are
-    /// the same ones the inline engine performs.
+    /// the same ones an un-sharded accounting performs.
     pub(crate) fn apply(&mut self, rec: Rec) {
         match rec {
             Rec::Arrive { req, at } => {
@@ -468,12 +450,10 @@ impl<'a> Accounting<'a> {
         }
     }
 
-    /// The shard's buffered `(emission index, span event)` pairs, if any.
+    /// The shard's buffered `(emission index, span event)` pairs, in
+    /// emission order (empty when untraced).
     pub(crate) fn take_spans(&mut self) -> Vec<(u64, SpanEvent)> {
-        match std::mem::replace(&mut self.spans, SpanOut::None) {
-            SpanOut::Buffered(buf) => buf,
-            _ => Vec::new(),
-        }
+        self.spans.take().unwrap_or_default()
     }
 
     /// The shard's blame rows (empty when blame was disabled).

@@ -208,6 +208,23 @@ impl TenantClass {
         }
     }
 
+    /// The one-member class of an explicit tenant. Its merged process is
+    /// the tenant's own and its id is the tenant's, so it draws the same
+    /// arrival stream and reports the same summary row.
+    pub(crate) fn solo(spec: &TenantSpec) -> Self {
+        Self {
+            id: spec.id,
+            name: spec.name.clone(),
+            members: 1,
+            member_arrival: spec.arrival,
+            requests: spec.requests,
+            writes: spec.writes,
+            weight: spec.weight,
+            slo: spec.slo,
+            admission: None,
+        }
+    }
+
     /// Attaches a p99 SLO (`target_p99_us` over `window_ns` evaluation
     /// windows) to the class.
     pub fn with_slo(mut self, target_p99_us: f64, window_ns: u64) -> Self {
@@ -388,13 +405,22 @@ impl Superposition {
     ) -> (Self, Vec<u32>) {
         let specs: Vec<TenantSpec> = classes.iter().map(TenantClass::merged_spec).collect();
         let merged = Self::generate(run_seed, &specs, bases);
+        (merged, Self::thin(run_seed, classes, bases))
+    }
+
+    /// The thinned member attribution of [`generate_classes`], indexed by
+    /// global request id. The engine calls this only for runs that account
+    /// members.
+    ///
+    /// [`generate_classes`]: Self::generate_classes
+    pub(crate) fn thin(run_seed: u64, classes: &[TenantClass], bases: &[u64]) -> Vec<u32> {
         let total: u64 = classes.iter().map(|c| c.requests).sum();
         let mut member_of = vec![0u32; total as usize];
         for (class, &base) in classes.iter().zip(bases) {
             let thinned = class.member_of(run_seed);
             member_of[base as usize..(base + class.requests) as usize].copy_from_slice(&thinned);
         }
-        (merged, member_of)
+        member_of
     }
 
     /// Arrivals a tenant contributes before the engine starts (everything for
@@ -478,9 +504,11 @@ mod tests {
         );
         let spec = TenantSpec::new(1, "solo", ArrivalProcess::Poisson { rate_per_s: 2.0e5 }, 64);
         let (via_class, member_of) = Superposition::generate_classes(5, &[class], &[0]);
-        let via_spec = Superposition::generate(5, &[spec], &[0]);
+        let via_spec = Superposition::generate(5, std::slice::from_ref(&spec), &[0]);
         assert_eq!(via_class, via_spec);
         assert!(member_of.iter().all(|&m| m == 0));
+        // Lowering the tenant to a class and merging it back is lossless.
+        assert_eq!(TenantClass::solo(&spec).merged_spec(), spec);
     }
 
     #[test]

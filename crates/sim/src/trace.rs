@@ -33,7 +33,8 @@ impl IoTrace {
         self.requests.is_empty()
     }
 
-    /// Replays the captured stream through the event engine under `workload`.
+    /// Replays the captured stream through the event engine under `workload`,
+    /// on one accounting worker (the report is the same at any count).
     ///
     /// Captured device/queue ids are mapped into the engine's geometry by
     /// modulo, so a trace from a small functional run can drive a full-scale
@@ -43,7 +44,7 @@ impl IoTrace {
     ///
     /// Panics if the trace is empty.
     pub fn replay(&self, config: &SimConfig, workload: Workload) -> SimReport {
-        engine::run(config, workload, &self.requests)
+        engine::run_sharded(config, workload, &self.requests, 1)
     }
 }
 

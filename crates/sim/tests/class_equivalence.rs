@@ -65,7 +65,7 @@ fn single_member_class_is_bitwise_its_explicit_tenant_run() {
     .with_slo(40.0, 500_000);
     for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
         let via_class = engine::run_classes(&cfg, std::slice::from_ref(&class), policy, 1);
-        let via_spec = engine::run_tenants(&cfg, std::slice::from_ref(&spec), policy);
+        let via_spec = engine::run_tenants_sharded(&cfg, std::slice::from_ref(&spec), policy, 1);
         assert_eq!(via_class, via_spec, "{policy:?}");
     }
 }
@@ -84,7 +84,7 @@ fn closed_loop_class_matches_the_merged_explicit_tenant() {
     );
     let spec = TenantSpec::new(0, "cl", ArrivalProcess::ClosedLoop { in_flight: 32 }, 6_000);
     let via_class = engine::run_classes(&cfg, &[class], QueuePairPolicy::Shared, 1);
-    let via_spec = engine::run_tenants(&cfg, &[spec], QueuePairPolicy::Shared);
+    let via_spec = engine::run_tenants_sharded(&cfg, &[spec], QueuePairPolicy::Shared, 1);
     assert_eq!(via_class, via_spec);
 }
 
@@ -212,30 +212,30 @@ fn class_runs_are_identical_across_worker_counts() {
     ];
     let spec = TelemetrySpec::full(100_000, 8);
     for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-        let (inline, inline_tel) = engine::run_classes_observed(&cfg, &classes, policy, 1, spec);
-        let adm = inline.tenants[0]
+        let (single, single_tel) = engine::run_classes_observed(&cfg, &classes, policy, 1, spec);
+        let adm = single.tenants[0]
             .admission
             .expect("armed class must report admission");
         assert_eq!(adm.offered, 20_000, "{policy:?}");
         assert_eq!(adm.admitted + adm.rejected, adm.offered, "{policy:?}");
-        assert_eq!(inline.tenants[0].completed, adm.admitted, "{policy:?}");
+        assert_eq!(single.tenants[0].completed, adm.admitted, "{policy:?}");
         assert!(adm.deferrals > 0, "{policy:?}: overload must defer");
         // Admit-after-deferral surfaces as the admission stage.
         assert!(
-            inline.tenants[0].stages.histo(Stage::Admission).count() > 0,
+            single.tenants[0].stages.histo(Stage::Admission).count() > 0,
             "{policy:?}: deferred admissions must carry the admission stage"
         );
-        assert!(inline.tenants[1].admission.is_none(), "{policy:?}");
+        assert!(single.tenants[1].admission.is_none(), "{policy:?}");
         for workers in WORKER_COUNTS {
             let (sharded, sharded_tel) =
                 engine::run_classes_observed(&cfg, &classes, policy, workers, spec);
-            assert_eq!(inline, sharded, "{policy:?}: report, workers={workers}");
+            assert_eq!(single, sharded, "{policy:?}: report, workers={workers}");
             assert_eq!(
-                inline_tel, sharded_tel,
+                single_tel, sharded_tel,
                 "{policy:?}: telemetry, workers={workers}"
             );
             assert_eq!(
-                inline.prom_export(),
+                single.prom_export(),
                 sharded.prom_export(),
                 "{policy:?}: prom export, workers={workers}"
             );

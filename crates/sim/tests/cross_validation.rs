@@ -21,7 +21,7 @@ fn simulate(latency_us: f64, rate_per_s: f64) -> bam_sim::SimReport {
     let requests = ((expected * 16.0) as u64).max(50_000);
     let config = SimConfig::worked_example(latency_us, 0xBA4);
     let reqs = engine::uniform_reads(&config, requests);
-    engine::run(&config, Workload::OpenLoop { rate_per_s }, &reqs)
+    engine::run_sharded(&config, Workload::OpenLoop { rate_per_s }, &reqs, 1)
 }
 
 #[test]
@@ -125,7 +125,7 @@ fn superposed_poisson_streams_agree_with_littles_law() {
         })
         .collect();
     let config = SimConfig::worked_example(11.0, 0xBA5);
-    let report = engine::run_tenants(&config, &tenants, QueuePairPolicy::Shared);
+    let report = engine::run_tenants_sharded(&config, &tenants, QueuePairPolicy::Shared, 1);
     let aggregate = 4.0 * per_tenant_rate;
     let analytic = steady_state_in_flight(aggregate, 11.0);
     let measured = report.overall.depth.steady_state_mean();

@@ -1,5 +1,8 @@
-//! Differential suite: the sharded engine must be bit-identical to the
-//! inline engine at every worker count.
+//! Differential suite: the engine must be bit-identical at every worker
+//! count. Each case runs once on one accounting worker and compares every
+//! multi-worker run against it through the public API; the engine's unit
+//! tests tie the one-worker run to an un-sharded, single-threaded reference
+//! on the same shapes, so together they pin every worker count to it.
 //!
 //! Every assertion is full-structure equality (`SimReport` /
 //! `MultiTenantReport` derive `PartialEq` over every field, including depth
@@ -15,7 +18,8 @@ use bam_sim::{
     SpanRecorder, TelemetrySpec, TenantSpec, Workload,
 };
 
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Worker counts compared against the single-worker run.
+const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
 
 fn optane_config(num_ssds: u32, queue_pairs_per_ssd: u32, bytes: u64, seed: u64) -> SimConfig {
     SimConfig {
@@ -34,32 +38,32 @@ fn optane_config(num_ssds: u32, queue_pairs_per_ssd: u32, bytes: u64, seed: u64)
 /// One single-tenant workload checked across every worker count, untraced
 /// and traced.
 fn check_single(name: &str, cfg: &SimConfig, workload: Workload, reqs: &[engine::RequestDesc]) {
-    let inline = engine::run(cfg, workload, reqs);
-    assert!(inline.completed == reqs.len() as u64, "{name}: sanity");
-    let rec_inline = SpanRecorder::with_capacity(1 << 20);
-    let traced = engine::run_traced(cfg, workload, reqs, &rec_inline);
-    assert_eq!(inline, traced, "{name}: tracing must not perturb");
+    let single = engine::run_sharded(cfg, workload, reqs, 1);
+    assert!(single.completed == reqs.len() as u64, "{name}: sanity");
+    let rec_single = SpanRecorder::with_capacity(1 << 20);
+    let traced = engine::run_sharded_traced(cfg, workload, reqs, 1, &rec_single);
+    assert_eq!(single, traced, "{name}: tracing must not perturb");
     for workers in WORKER_COUNTS {
         let sharded = engine::run_sharded(cfg, workload, reqs, workers);
-        assert_eq!(inline, sharded, "{name}: report, workers={workers}");
+        assert_eq!(single, sharded, "{name}: report, workers={workers}");
         let rec_sharded = SpanRecorder::with_capacity(1 << 20);
         let sharded_traced = engine::run_sharded_traced(cfg, workload, reqs, workers, &rec_sharded);
         assert_eq!(
-            inline, sharded_traced,
+            single, sharded_traced,
             "{name}: traced report, workers={workers}"
         );
         assert_eq!(
-            rec_inline.events(),
+            rec_single.events(),
             rec_sharded.events(),
             "{name}: span stream, workers={workers}"
         );
         assert_eq!(
-            rec_inline.dropped(),
+            rec_single.dropped(),
             rec_sharded.dropped(),
             "{name}: drop counts, workers={workers}"
         );
         assert_eq!(
-            chrome_trace_json(&rec_inline.events()),
+            chrome_trace_json(&rec_single.events()),
             chrome_trace_json(&rec_sharded.events()),
             "{name}: chrome trace, workers={workers}"
         );
@@ -157,17 +161,17 @@ fn multi_tenant_antagonist_sweep_is_identical() {
         3_000,
     ));
     for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-        let inline = engine::run_tenants(&cfg, &tenants, policy);
-        let rec_inline = SpanRecorder::with_capacity(1 << 20);
-        let traced = engine::run_tenants_traced(&cfg, &tenants, policy, &rec_inline);
-        assert_eq!(inline, traced, "{policy:?}: tracing must not perturb");
+        let single = engine::run_tenants_sharded(&cfg, &tenants, policy, 1);
+        let rec_single = SpanRecorder::with_capacity(1 << 20);
+        let traced = engine::run_tenants_sharded_traced(&cfg, &tenants, policy, 1, &rec_single);
+        assert_eq!(single, traced, "{policy:?}: tracing must not perturb");
         for workers in WORKER_COUNTS {
             let sharded = engine::run_tenants_sharded(&cfg, &tenants, policy, workers);
-            assert_eq!(inline, sharded, "{policy:?}: workers={workers}");
+            assert_eq!(single, sharded, "{policy:?}: workers={workers}");
             let rec_sharded = SpanRecorder::with_capacity(1 << 20);
             engine::run_tenants_sharded_traced(&cfg, &tenants, policy, workers, &rec_sharded);
             assert_eq!(
-                chrome_trace_json(&rec_inline.events()),
+                chrome_trace_json(&rec_single.events()),
                 chrome_trace_json(&rec_sharded.events()),
                 "{policy:?}: chrome trace, workers={workers}"
             );
@@ -178,17 +182,17 @@ fn multi_tenant_antagonist_sweep_is_identical() {
 #[test]
 fn timeline_and_blame_are_identical_across_worker_counts() {
     // Full telemetry (windowed series + blame rows + exemplars) folded from
-    // per-shard recorders must be bit-identical to the inline recorder's,
-    // on both the single-tenant and journalled-write shapes.
+    // per-shard recorders must be bit-identical to the single shard's, on
+    // both the single-tenant and journalled-write shapes.
     let spec = TelemetrySpec::full(50_000, 16);
     let cfg = optane_config(4, 2, 4096, 4);
     let reqs = engine::uniform_reads(&cfg, 12_000);
     let workload = Workload::ClosedLoop { in_flight: 2048 };
-    let (inline, inline_tel) = engine::run_observed(&cfg, workload, &reqs, 1, spec);
+    let (single, single_tel) = engine::run_observed(&cfg, workload, &reqs, 1, spec);
     for workers in WORKER_COUNTS {
         let (sharded, sharded_tel) = engine::run_observed(&cfg, workload, &reqs, workers, spec);
-        assert_eq!(inline, sharded, "report, workers={workers}");
-        assert_eq!(inline_tel, sharded_tel, "telemetry, workers={workers}");
+        assert_eq!(single, sharded, "report, workers={workers}");
+        assert_eq!(single_tel, sharded_tel, "telemetry, workers={workers}");
     }
 
     let base = optane_config(2, 4, 4096, 23);
@@ -198,12 +202,12 @@ fn timeline_and_blame_are_identical_across_worker_counts() {
     };
     let jreqs = engine::mixed_requests(&jcfg, 8_000, 3_000);
     let jworkload = Workload::ClosedLoop { in_flight: 128 };
-    let (jinline, jinline_tel) = engine::run_observed(&jcfg, jworkload, &jreqs, 1, spec);
+    let (jsingle, jsingle_tel) = engine::run_observed(&jcfg, jworkload, &jreqs, 1, spec);
     for workers in WORKER_COUNTS {
         let (sharded, sharded_tel) = engine::run_observed(&jcfg, jworkload, &jreqs, workers, spec);
-        assert_eq!(jinline, sharded, "journalled report, workers={workers}");
+        assert_eq!(jsingle, sharded, "journalled report, workers={workers}");
         assert_eq!(
-            jinline_tel, sharded_tel,
+            jsingle_tel, sharded_tel,
             "journalled telemetry, workers={workers}"
         );
     }
@@ -212,8 +216,9 @@ fn timeline_and_blame_are_identical_across_worker_counts() {
 #[test]
 fn tenant_slo_and_telemetry_are_identical_across_worker_counts() {
     // The antagonist sweep with SLOs attached: per-tenant SLO reports, the
-    // merged timeline, and the blame decomposition must match the inline
-    // engine bit for bit at every worker count and under both policies.
+    // merged timeline, and the blame decomposition must match the
+    // single-worker run bit for bit at every worker count and under both
+    // policies.
     let cfg = optane_config(4, 2, 4096, 13);
     let mmpp = Mmpp2 {
         calm_rate_per_s: 50.0e3,
@@ -242,21 +247,21 @@ fn tenant_slo_and_telemetry_are_identical_across_worker_counts() {
     ));
     let spec = TelemetrySpec::full(100_000, 8);
     for policy in [QueuePairPolicy::Shared, QueuePairPolicy::WeightedFair] {
-        let (inline, inline_tel) = engine::run_tenants_observed(&cfg, &tenants, policy, 1, spec);
+        let (single, single_tel) = engine::run_tenants_observed(&cfg, &tenants, policy, 1, spec);
         assert!(
-            inline.tenants[0].slo.is_some(),
+            single.tenants[0].slo.is_some(),
             "SLO'd tenant must carry a report"
         );
         for workers in WORKER_COUNTS {
             let (sharded, sharded_tel) =
                 engine::run_tenants_observed(&cfg, &tenants, policy, workers, spec);
-            assert_eq!(inline, sharded, "{policy:?}: report, workers={workers}");
+            assert_eq!(single, sharded, "{policy:?}: report, workers={workers}");
             assert_eq!(
-                inline_tel, sharded_tel,
+                single_tel, sharded_tel,
                 "{policy:?}: telemetry, workers={workers}"
             );
             assert_eq!(
-                inline.prom_export(),
+                single.prom_export(),
                 sharded.prom_export(),
                 "{policy:?}: prom export, workers={workers}"
             );
@@ -266,24 +271,24 @@ fn tenant_slo_and_telemetry_are_identical_across_worker_counts() {
 
 #[test]
 fn span_ring_overflow_drops_identically() {
-    // A recorder smaller than the span stream: the sharded replay must wrap
-    // the ring and count drops exactly like the inline engine.
+    // A recorder smaller than the span stream: the merged replay must wrap
+    // the ring and count drops exactly like the single-worker run.
     let cfg = optane_config(2, 8, 4096, 77);
     let reqs = engine::uniform_reads(&cfg, 2_000);
     let workload = Workload::ClosedLoop { in_flight: 64 };
-    let rec_inline = SpanRecorder::with_capacity(1024);
-    engine::run_traced(&cfg, workload, &reqs, &rec_inline);
-    assert!(rec_inline.dropped() > 0, "stream must overflow the ring");
+    let rec_single = SpanRecorder::with_capacity(1024);
+    engine::run_sharded_traced(&cfg, workload, &reqs, 1, &rec_single);
+    assert!(rec_single.dropped() > 0, "stream must overflow the ring");
     for workers in WORKER_COUNTS {
         let rec_sharded = SpanRecorder::with_capacity(1024);
         engine::run_sharded_traced(&cfg, workload, &reqs, workers, &rec_sharded);
         assert_eq!(
-            rec_inline.events(),
+            rec_single.events(),
             rec_sharded.events(),
             "workers={workers}"
         );
         assert_eq!(
-            rec_inline.dropped(),
+            rec_single.dropped(),
             rec_sharded.dropped(),
             "workers={workers}"
         );

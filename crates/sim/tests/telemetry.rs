@@ -32,7 +32,7 @@ fn observation_does_not_perturb_the_report() {
     let cfg = optane_config(4, 8, 11);
     let reqs = engine::uniform_reads(&cfg, 6_000);
     let workload = Workload::ClosedLoop { in_flight: 256 };
-    let plain = engine::run(&cfg, workload, &reqs);
+    let plain = engine::run_sharded(&cfg, workload, &reqs, 1);
     for workers in [1, 4] {
         let (observed, telemetry) = engine::run_observed(
             &cfg,
@@ -172,7 +172,7 @@ fn slo_reports_follow_tenant_specs() {
 }
 
 #[test]
-fn slo_evaluation_is_identical_inline_and_sharded() {
+fn slo_evaluation_is_identical_at_every_worker_count() {
     let cfg = optane_config(4, 2, 29);
     let arrival = ArrivalProcess::Poisson {
         rate_per_s: 200.0e3,
@@ -182,7 +182,7 @@ fn slo_evaluation_is_identical_inline_and_sharded() {
         TenantSpec::new(1, "b", arrival, 1_500).with_slo(15.0, 250_000),
         TenantSpec::new(2, "c", arrival, 1_500),
     ];
-    let (inline, inline_tel) = engine::run_tenants_observed(
+    let (single, single_tel) = engine::run_tenants_observed(
         &cfg,
         &tenants,
         QueuePairPolicy::WeightedFair,
@@ -197,8 +197,8 @@ fn slo_evaluation_is_identical_inline_and_sharded() {
             workers,
             TelemetrySpec::full(WINDOW_NS, 8),
         );
-        assert_eq!(inline, sharded, "workers={workers}");
-        assert_eq!(inline_tel, sharded_tel, "telemetry, workers={workers}");
+        assert_eq!(single, sharded, "workers={workers}");
+        assert_eq!(single_tel, sharded_tel, "telemetry, workers={workers}");
     }
 }
 
