@@ -6,12 +6,19 @@
 //! writes go through the write-back cache. The warp-level entry point
 //! ([`BamArray::gather_warp`]) mirrors the overloaded subscript operator of
 //! the CUDA implementation, which performs its coalescing at warp scope.
+//!
+//! Elements are copied straight out of the pinned cache line in GPU memory
+//! through stack buffers, so the hit path makes no heap allocation:
+//! [`BamArray::read`], [`BamArray::gather_warp`] and [`BamArray::write`]
+//! allocate nothing, and [`BamArray::read_run`] allocates only the `Vec` it
+//! returns. A [`Pod`] wider than a stack buffer falls back to a heap buffer
+//! of its own size.
 
 use std::sync::Arc;
 
 use bam_gpu_sim::exec::WarpCtx;
-use bam_gpu_sim::warp::{groups, match_any, WARP_SIZE};
-use bam_mem::Pod;
+use bam_gpu_sim::warp::{group_iter, match_any, WARP_SIZE};
+use bam_mem::{ByteRegion, DevAddr, Pod};
 
 use crate::error::BamError;
 use crate::system::SystemInner;
@@ -74,6 +81,21 @@ impl<T: Pod> BamArray<T> {
         Ok(())
     }
 
+    /// Checks that the `count > 0` elements from `start` are all in bounds
+    /// and returns the index one past the last. An end that overflows `u64`
+    /// is reported as index `u64::MAX`.
+    fn check_run(&self, start: u64, count: u64) -> Result<u64, BamError> {
+        self.check(start)?;
+        let last = start
+            .checked_add(count - 1)
+            .ok_or(BamError::IndexOutOfBounds {
+                index: u64::MAX,
+                len: self.len,
+            })?;
+        self.check(last)?;
+        Ok(last + 1)
+    }
+
     #[inline]
     fn line_of(&self, idx: u64) -> (u64, u64) {
         let byte = self.base + idx * T::SIZE as u64;
@@ -89,8 +111,8 @@ impl<T: Pod> BamArray<T> {
     pub fn preload(&self, values: &[T]) -> Result<(), BamError> {
         assert!(values.len() as u64 <= self.len, "preload larger than array");
         let mut bytes = vec![0u8; values.len() * T::SIZE];
-        for (i, v) in values.iter().enumerate() {
-            v.to_bytes(&mut bytes[i * T::SIZE..(i + 1) * T::SIZE]);
+        for (out, v) in bytes.chunks_exact_mut(T::SIZE).zip(values) {
+            v.to_bytes(out);
         }
         self.inner.preload_bytes(self.base, &bytes)
     }
@@ -105,8 +127,7 @@ impl<T: Pod> BamArray<T> {
         self.inner.metrics.record_requested_bytes(T::SIZE as u64);
         let (line, offset) = self.line_of(idx);
         self.inner
-            .read_element(line, offset, T::SIZE)
-            .map(|buf| T::from_bytes(&buf))
+            .with_line(line, |region, base| load(region, base + offset))
     }
 
     /// Writes element `idx` from a single GPU thread. The data goes through
@@ -119,9 +140,10 @@ impl<T: Pod> BamArray<T> {
         self.check(idx)?;
         self.inner.metrics.record_requested_bytes(T::SIZE as u64);
         let (line, offset) = self.line_of(idx);
-        let mut buf = vec![0u8; T::SIZE];
-        value.to_bytes(&mut buf);
-        self.inner.write_element(line, offset, &buf)
+        with_scratch::<ELEM_STACK_BYTES, _>(T::SIZE, |buf| {
+            value.to_bytes(buf);
+            self.inner.write_line_range(line, offset, buf)
+        })
     }
 
     /// Warp-coalesced gather: every active lane with `Some(index)` reads that
@@ -169,7 +191,7 @@ impl<T: Pod> BamArray<T> {
             return Ok(out);
         }
         let masks = match_any(&keys, participate);
-        for (leader, mask) in groups(&masks, participate) {
+        for (leader, mask) in group_iter(&masks, participate) {
             let line = keys[leader];
             let lanes_in_group = mask.count_ones() as u64;
             self.inner
@@ -181,13 +203,11 @@ impl<T: Pod> BamArray<T> {
             // The leader performs the single probe on behalf of the group and
             // the line stays pinned while every member lane copies its
             // element out (broadcast via shared memory in the prototype).
-            self.inner.with_line(line, |read_at| {
+            self.inner.with_line(line, |region, base| {
                 for lane in 0..WARP_SIZE {
                     if mask & (1 << lane) != 0 {
                         let idx = indices[lane].expect("participating lane has an index");
-                        let (_, offset) = self.line_of(idx);
-                        let buf = read_at(offset, T::SIZE);
-                        out[lane] = Some(T::from_bytes(&buf));
+                        out[lane] = Some(load(region, base + self.line_of(idx).1));
                     }
                 }
             })?;
@@ -200,37 +220,52 @@ impl<T: Pod> BamArray<T> {
     /// reference reuse" optimization of §3.5 that Figure 8's *Optimized*
     /// configuration exploits for neighbour lists).
     ///
+    /// Each line's run is copied out in stack-buffer chunks, one
+    /// [`ByteRegion::read_bytes`] per chunk, and decoded in place; the
+    /// returned `Vec` is the only allocation.
+    ///
     /// # Errors
     ///
-    /// Returns [`BamError::IndexOutOfBounds`] or a storage failure.
+    /// Returns [`BamError::IndexOutOfBounds`] (also when `start + count`
+    /// overflows) or a storage failure.
     pub fn read_run(&self, start: u64, count: u64) -> Result<Vec<T>, BamError> {
         if count == 0 {
             return Ok(Vec::new());
         }
-        self.check(start)?;
-        self.check(start + count - 1)?;
+        let end = self.check_run(start, count)?;
         self.inner
             .metrics
             .record_requested_bytes(T::SIZE as u64 * count);
         let mut result = Vec::with_capacity(count as usize);
-        let mut idx = start;
-        while idx < start + count {
-            let (line, offset) = self.line_of(idx);
-            // Elements remaining in this line.
-            let elems_in_line =
-                ((self.inner.line_bytes - offset) / T::SIZE as u64).min(start + count - idx);
-            self.inner.with_line(line, |read_at| {
-                for e in 0..elems_in_line {
-                    let buf = read_at(offset + e * T::SIZE as u64, T::SIZE);
-                    result.push(T::from_bytes(&buf));
+        // Elements per copy: as many as fit the stack chunk, or one element
+        // (through the heap fallback) when it alone is wider.
+        let per_chunk = (RUN_STACK_BYTES / T::SIZE).max(1);
+        with_scratch::<RUN_STACK_BYTES, _>(per_chunk * T::SIZE, |chunk| {
+            let mut idx = start;
+            while idx < end {
+                let (line, offset) = self.line_of(idx);
+                // Elements remaining in this line.
+                let elems_in_line =
+                    ((self.inner.line_bytes - offset) / T::SIZE as u64).min(end - idx);
+                self.inner.with_line(line, |region, base| {
+                    let mut addr = base + offset;
+                    let mut left = elems_in_line as usize;
+                    while left > 0 {
+                        let n = left.min(per_chunk);
+                        let bytes = &mut chunk[..n * T::SIZE];
+                        region.read_bytes(addr, bytes);
+                        result.extend(bytes.chunks_exact(T::SIZE).map(T::from_bytes));
+                        addr += bytes.len() as u64;
+                        left -= n;
+                    }
+                })?;
+                if elems_in_line > 1 {
+                    self.inner.metrics.record_reuse();
                 }
-            })?;
-            if elems_in_line > 1 {
-                self.inner.metrics.record_reuse();
+                idx += elems_in_line;
             }
-            idx += elems_in_line;
-        }
-        Ok(result)
+            Ok(result)
+        })
     }
 
     /// Prefetches the cache lines covering `count` elements starting at
@@ -244,22 +279,25 @@ impl<T: Pod> BamArray<T> {
     ///
     /// # Errors
     ///
-    /// Returns [`BamError::IndexOutOfBounds`] or a storage failure. In
-    /// uncached mode prefetching is a no-op and returns 0.
+    /// Returns [`BamError::IndexOutOfBounds`] (also when `start + count`
+    /// overflows) or a storage failure. In uncached mode prefetching is a
+    /// no-op and returns 0.
     pub fn prefetch(&self, start: u64, count: u64) -> Result<u64, BamError> {
-        if count == 0 || self.inner.cache.is_none() {
+        if count == 0 {
             return Ok(0);
         }
-        self.check(start)?;
-        self.check(start + count - 1)?;
+        let end = self.check_run(start, count)?;
+        if self.inner.cache.is_none() {
+            return Ok(0);
+        }
         let misses_before = self.inner.metrics.snapshot().cache_misses;
         let first_line = self.line_of(start).0;
-        let last_line = self.line_of(start + count - 1).0;
+        let last_line = self.line_of(end - 1).0;
         for line in first_line..=last_line {
             // Acquire and immediately release: the line lands in a slot and
             // stays there until evicted, exactly like a touched-but-unpinned
             // line.
-            self.inner.with_line(line, |_read_at| ())?;
+            self.inner.with_line(line, |_, _| ())?;
         }
         Ok(self.inner.metrics.snapshot().cache_misses - misses_before)
     }
@@ -267,35 +305,74 @@ impl<T: Pod> BamArray<T> {
     /// Writes `values` to consecutive elements starting at `start`, reusing
     /// line references (used by the vectorAdd output array).
     ///
+    /// Each line's run is encoded into one stack buffer (a heap buffer on
+    /// lines wider than it) and written as one journalled range.
+    ///
     /// # Errors
     ///
-    /// Returns [`BamError::IndexOutOfBounds`] or a storage failure.
+    /// Returns [`BamError::IndexOutOfBounds`] (also when the run's end
+    /// overflows) or a storage failure.
     pub fn write_run(&self, start: u64, values: &[T]) -> Result<(), BamError> {
         if values.is_empty() {
             return Ok(());
         }
         let count = values.len() as u64;
-        self.check(start)?;
-        self.check(start + count - 1)?;
+        self.check_run(start, count)?;
         self.inner
             .metrics
             .record_requested_bytes(T::SIZE as u64 * count);
-        let mut idx = start;
-        let mut consumed = 0usize;
-        while idx < start + count {
-            let (line, offset) = self.line_of(idx);
-            let elems_in_line =
-                ((self.inner.line_bytes - offset) / T::SIZE as u64).min(start + count - idx);
-            let mut bytes = vec![0u8; elems_in_line as usize * T::SIZE];
-            for e in 0..elems_in_line as usize {
-                values[consumed + e].to_bytes(&mut bytes[e * T::SIZE..(e + 1) * T::SIZE]);
+        let longest = (values.len() * T::SIZE).min(self.inner.line_bytes as usize);
+        with_scratch::<LINE_STACK_BYTES, _>(longest, |buf| {
+            let mut idx = start;
+            let mut rest = values;
+            while !rest.is_empty() {
+                let (line, offset) = self.line_of(idx);
+                let elems_in_line =
+                    (((self.inner.line_bytes - offset) / T::SIZE as u64) as usize).min(rest.len());
+                let (run, tail) = rest.split_at(elems_in_line);
+                let bytes = &mut buf[..elems_in_line * T::SIZE];
+                for (out, v) in bytes.chunks_exact_mut(T::SIZE).zip(run) {
+                    v.to_bytes(out);
+                }
+                self.inner.write_line_range(line, offset, bytes)?;
+                idx += elems_in_line as u64;
+                rest = tail;
             }
-            self.inner.write_line_range(line, offset, &bytes)?;
-            idx += elems_in_line;
-            consumed += elems_in_line as usize;
-        }
-        Ok(())
+            Ok(())
+        })
     }
+}
+
+/// Bytes of the stack buffer one element is copied through. Every primitive
+/// `Pod` fits; a wider `Pod` falls back to a heap buffer.
+const ELEM_STACK_BYTES: usize = 16;
+
+/// Bytes of the stack buffer [`BamArray::read_run`] copies a line's run
+/// through, one chunk at a time.
+const RUN_STACK_BYTES: usize = 1024;
+
+/// Bytes of the stack buffer [`BamArray::write_run`] encodes a line's run
+/// into. The run must be one journalled write, so it is not chunked; runs
+/// on lines wider than this fall back to a heap buffer.
+const LINE_STACK_BYTES: usize = 4096;
+
+/// Runs `f` on a zeroed `len`-byte buffer: a slice of an `N`-byte stack
+/// array when `len <= N`, otherwise a heap buffer (the fallback for data
+/// wider than the stack buffer).
+fn with_scratch<const N: usize, R>(len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    if len <= N {
+        f(&mut [0u8; N][..len])
+    } else {
+        f(&mut vec![0u8; len])
+    }
+}
+
+/// Copies the element at `addr` out of `region` through a stack buffer.
+fn load<T: Pod>(region: &ByteRegion, addr: DevAddr) -> T {
+    with_scratch::<ELEM_STACK_BYTES, _>(T::SIZE, |buf| {
+        region.read_bytes(addr, buf);
+        T::from_bytes(buf)
+    })
 }
 
 #[cfg(test)]
@@ -417,6 +494,53 @@ mod tests {
         arr.preload(&(0..256u64).collect::<Vec<_>>()).unwrap();
         assert_eq!(arr.prefetch(0, 256).unwrap(), 0);
         assert_eq!(sys.metrics().read_requests, 0);
+    }
+
+    fn out_of_bounds(r: Result<impl std::fmt::Debug, BamError>) -> bool {
+        matches!(r, Err(BamError::IndexOutOfBounds { .. }))
+    }
+
+    #[test]
+    fn read_run_rejects_a_count_that_overflows_the_index() {
+        let sys = system();
+        let arr = sys.create_array::<u64>(64).unwrap();
+        assert!(out_of_bounds(arr.read_run(5, u64::MAX)));
+        assert!(out_of_bounds(arr.read_run(5, u64::MAX - 4)));
+        assert!(out_of_bounds(arr.read_run(60, 5)));
+        assert_eq!(arr.read_run(60, 4).unwrap().len(), 4);
+        assert_eq!(
+            sys.metrics().bytes_requested,
+            32,
+            "rejected runs cost nothing"
+        );
+    }
+
+    #[test]
+    fn write_run_rejects_a_run_past_the_end() {
+        let sys = system();
+        let arr = sys.create_array::<u64>(64).unwrap();
+        assert!(out_of_bounds(arr.write_run(63, &[1, 2])));
+        assert!(out_of_bounds(arr.write_run(u64::MAX, &[1])));
+        assert_eq!(sys.metrics().journal_appends, 0, "nothing was written");
+        arr.write_run(62, &[1, 2]).unwrap();
+        assert_eq!(arr.read_run(62, 2).unwrap(), vec![1, 2]);
+    }
+
+    #[test]
+    fn prefetch_rejects_a_count_that_overflows_the_index() {
+        let sys = system();
+        let arr = sys.create_array::<u64>(64).unwrap();
+        assert!(out_of_bounds(arr.prefetch(5, u64::MAX)));
+        assert_eq!(sys.metrics().probe_attempts, 0);
+        let mut cfg = BamConfig::test_scale();
+        cfg.use_cache = false;
+        let uncached = BamSystem::new(cfg).unwrap();
+        let arr = uncached.create_array::<u64>(64).unwrap();
+        assert!(
+            out_of_bounds(arr.prefetch(5, u64::MAX)),
+            "bounds are checked even where prefetch is a no-op"
+        );
+        assert_eq!(arr.prefetch(0, 64).unwrap(), 0);
     }
 
     #[test]

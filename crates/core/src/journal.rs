@@ -133,22 +133,33 @@ impl JournalRecord {
     }
 }
 
-fn encode_record(kind: u8, lsn: u64, line: u64, aux: u64, payload: &[u8]) -> Vec<u8> {
+/// Appends one encoded record to `buf` and returns its length. The record is
+/// built in place: the checksums are taken over the bytes already in `buf`,
+/// so no temporary record buffer is needed.
+fn encode_record_into(
+    buf: &mut Vec<u8>,
+    kind: u8,
+    lsn: u64,
+    line: u64,
+    aux: u64,
+    payload: &[u8],
+) -> usize {
     debug_assert!(payload.len() <= u16::MAX as usize);
-    let mut rec = Vec::with_capacity(RECORD_OVERHEAD_BYTES + payload.len());
-    rec.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-    rec.push(kind);
-    rec.push(0); // pad
-    rec.extend_from_slice(&(payload.len() as u16).to_le_bytes());
-    rec.extend_from_slice(&lsn.to_le_bytes());
-    rec.extend_from_slice(&line.to_le_bytes());
-    rec.extend_from_slice(&aux.to_le_bytes());
-    let hdr_cksum = fnv1a64(&rec[..32]);
-    rec.extend_from_slice(&hdr_cksum.to_le_bytes());
-    rec.extend_from_slice(payload);
-    let cksum = fnv1a64(&rec);
-    rec.extend_from_slice(&cksum.to_le_bytes());
-    rec
+    let start = buf.len();
+    buf.reserve(RECORD_OVERHEAD_BYTES + payload.len());
+    buf.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
+    buf.push(kind);
+    buf.push(0); // pad
+    buf.extend_from_slice(&(payload.len() as u16).to_le_bytes());
+    buf.extend_from_slice(&lsn.to_le_bytes());
+    buf.extend_from_slice(&line.to_le_bytes());
+    buf.extend_from_slice(&aux.to_le_bytes());
+    let hdr_cksum = fnv1a64(&buf[start..start + 32]);
+    buf.extend_from_slice(&hdr_cksum.to_le_bytes());
+    buf.extend_from_slice(payload);
+    let cksum = fnv1a64(&buf[start..]);
+    buf.extend_from_slice(&cksum.to_le_bytes());
+    buf.len() - start
 }
 
 fn le_u64(bytes: &[u8]) -> u64 {
@@ -306,30 +317,33 @@ impl CacheJournal {
             "journal payload exceeds the u16 length field"
         );
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
         let lsn = inner.next_lsn;
-        let rec = encode_record(kind, lsn, line, aux, payload);
+        let start = inner.buf.len();
+        let rec_len = encode_record_into(&mut inner.buf, kind, lsn, line, aux, payload);
         if let Some(cp) = &self.crash {
             match cp.consume_step() {
                 StepOutcome::Run => {}
                 StepOutcome::Crash { torn_bytes } => {
                     // The torn prefix is always strictly shorter than the
                     // record: a crashed append never becomes durable.
-                    let keep = (torn_bytes as usize).min(rec.len() - 1);
-                    let prefix = rec[..keep].to_vec();
-                    inner.buf.extend_from_slice(&prefix);
+                    let keep = (torn_bytes as usize).min(rec_len - 1);
+                    inner.buf.truncate(start + keep);
                     return Err(BamError::Crashed);
                 }
-                StepOutcome::Down => return Err(BamError::Crashed),
+                StepOutcome::Down => {
+                    inner.buf.truncate(start);
+                    return Err(BamError::Crashed);
+                }
             }
         }
-        inner.buf.extend_from_slice(&rec);
         inner.next_lsn += 1;
         if kind == KIND_WRITE {
             inner.payload_bytes += payload.len() as u64;
         }
         Ok(JournalAppend {
             lsn,
-            bytes: rec.len() as u64,
+            bytes: rec_len as u64,
         })
     }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use bam_gpu_sim::{GpuMemory, GpuSpec};
-use bam_mem::{DevAddr, Pod};
+use bam_mem::{ByteRegion, DevAddr, Pod};
 use bam_nvme_sim::{DataLayout, FaultInjector, SsdArray, StatsSnapshot};
 use bam_obs::{chrome_trace_json, PromWriter, SpanRecorder};
 
@@ -36,6 +36,8 @@ const SCRATCH_BUFFERS: usize = 64;
 pub(crate) struct SystemInner {
     pub(crate) config: BamConfig,
     pub(crate) gpu: GpuMemory,
+    /// `gpu`'s byte region, held once so the element path never clones it.
+    region: Arc<ByteRegion>,
     pub(crate) array: Arc<SsdArray>,
     pub(crate) iostack: Arc<IoStack>,
     pub(crate) cache: Option<Arc<BamCache>>,
@@ -65,60 +67,35 @@ impl std::fmt::Debug for SystemInner {
 }
 
 impl SystemInner {
-    /// Runs `f` with a reader over the given cache line's bytes.
+    /// Runs `f` on the bytes of cache line `line`, handing it the GPU memory
+    /// region and the line's base address in it; `f` copies what it needs
+    /// with [`ByteRegion::read_bytes`] into its own buffer.
     ///
-    /// With the cache enabled, the line is acquired (pinned) for the duration
-    /// of `f`; in uncached mode the line is read into a scratch buffer first
-    /// (every call is a storage request — the Fig 8 "no cache" configuration).
+    /// With the cache enabled the line is acquired (pinned) for the duration
+    /// of `f`, so every element a caller copies out of it comes from one
+    /// probe (§3.5's cache-line reference reuse). In uncached mode the line
+    /// is first read into a scratch buffer: every call is a storage request
+    /// (the Fig 8 "no cache" configuration). The region handle is held once
+    /// by the system, so this path neither allocates nor touches a
+    /// reference count.
     pub(crate) fn with_line<R>(
         &self,
         line: u64,
-        f: impl FnOnce(&dyn Fn(u64, usize) -> Vec<u8>) -> R,
+        f: impl FnOnce(&ByteRegion, DevAddr) -> R,
     ) -> Result<R, BamError> {
-        let region = self.gpu.region();
         if let Some(cache) = &self.cache {
             let guard = cache.acquire(line)?;
-            let base = guard.addr();
-            let read_at = move |offset: u64, size: usize| {
-                let mut buf = vec![0u8; size];
-                region.read_bytes(base + offset, &mut buf);
-                buf
-            };
-            Ok(f(&read_at))
+            Ok(f(&self.region, guard.addr()))
         } else {
             let (_slot_guard, addr) = self.lock_scratch();
             self.iostack.read_line(line, addr)?;
-            let read_at = move |offset: u64, size: usize| {
-                let mut buf = vec![0u8; size];
-                region.read_bytes(addr + offset, &mut buf);
-                buf
-            };
-            Ok(f(&read_at))
+            Ok(f(&self.region, addr))
         }
     }
 
-    /// Reads `size` bytes at `offset` within `line`.
-    pub(crate) fn read_element(
-        &self,
-        line: u64,
-        offset: u64,
-        size: usize,
-    ) -> Result<Vec<u8>, BamError> {
-        self.with_line(line, |read_at| read_at(offset, size))
-    }
-
-    /// Writes `bytes` at `offset` within `line` (write-back through the
-    /// cache, or a read-modify-write of the whole line in uncached mode).
-    pub(crate) fn write_element(
-        &self,
-        line: u64,
-        offset: u64,
-        bytes: &[u8],
-    ) -> Result<(), BamError> {
-        self.write_line_range(line, offset, bytes)
-    }
-
-    /// Writes an arbitrary byte range within one line.
+    /// Writes `bytes` at `offset` within `line`: journalled write-back
+    /// through the cache, or a read-modify-write of the whole line in
+    /// uncached mode.
     pub(crate) fn write_line_range(
         &self,
         line: u64,
@@ -129,7 +106,7 @@ impl SystemInner {
             offset + bytes.len() as u64 <= self.line_bytes,
             "write crosses a cache-line boundary"
         );
-        let region = self.gpu.region();
+        let region = &self.region;
         if let Some(cache) = &self.cache {
             let guard = cache.acquire(line)?;
             let addr = guard.addr();
@@ -297,6 +274,7 @@ impl BamSystem {
         Ok(Self {
             inner: Arc::new(SystemInner {
                 config,
+                region: gpu.region(),
                 gpu,
                 array: ssd_array,
                 iostack,
@@ -583,13 +561,12 @@ impl BamSystem {
         }
         // Replay against the raw I/O stack: the crash wrapper models devices
         // lost with the crashed host, and the reboot is behind us.
-        let region = self.inner.gpu.region();
         let (_slot_guard, scratch) = self.inner.lock_scratch();
         let recorder = self.inner.span_recorder.lock().clone();
         let report = journal::recover_observed(
             journal_bytes,
             self.inner.iostack.as_ref(),
-            &region,
+            &self.inner.region,
             scratch,
             recorder.as_deref(),
         )?;

@@ -103,19 +103,28 @@ pub fn shfl<T: Copy>(values: &[T], src_lane: usize) -> T {
 /// This is exactly the per-group work distribution BaM's coalescer performs:
 /// each leader probes the cache once on behalf of its group.
 pub fn groups(match_masks: &[LaneMask; WARP_SIZE], active: LaneMask) -> Vec<(usize, LaneMask)> {
+    group_iter(match_masks, active).collect()
+}
+
+/// [`groups`] without the `Vec`: yields the same `(leader_lane,
+/// group_mask)` pairs in the same order, allocating nothing (the form the
+/// per-access coalescer uses).
+pub fn group_iter(
+    match_masks: &[LaneMask; WARP_SIZE],
+    active: LaneMask,
+) -> impl Iterator<Item = (usize, LaneMask)> + '_ {
     let mut seen: LaneMask = 0;
-    let mut out = Vec::new();
-    for (lane, &mask) in match_masks.iter().enumerate() {
-        if active & (1 << lane) == 0 || seen & (1 << lane) != 0 || mask == 0 {
-            continue;
-        }
-        let leader = elect_leader(mask).expect("non-empty mask has a leader");
-        if leader == lane {
-            out.push((leader, mask));
-        }
-        seen |= mask;
-    }
-    out
+    match_masks
+        .iter()
+        .enumerate()
+        .filter_map(move |(lane, &mask)| {
+            if active & (1 << lane) == 0 || seen & (1 << lane) != 0 || mask == 0 {
+                return None;
+            }
+            seen |= mask;
+            let leader = elect_leader(mask).expect("non-empty mask has a leader");
+            (leader == lane).then_some((leader, mask))
+        })
 }
 
 #[cfg(test)]

@@ -36,6 +36,19 @@ impl std::fmt::Debug for ByteRegion {
     }
 }
 
+/// Where a `len`-byte access at `addr` starts: the index of the word holding
+/// `addr`, the offset of `addr` in that word, and how many of the bytes fall
+/// in that word before the next word boundary (0 when `addr` is aligned).
+fn head_of(addr: DevAddr, len: usize) -> (usize, usize, usize) {
+    let byte_in_word = addr as usize % 8;
+    let head = if byte_in_word == 0 {
+        0
+    } else {
+        (8 - byte_in_word).min(len)
+    };
+    (addr as usize / 8, byte_in_word, head)
+}
+
 impl ByteRegion {
     /// Creates a zero-initialized region of `len` bytes.
     ///
@@ -76,87 +89,104 @@ impl ByteRegion {
 
     /// Reads `buf.len()` bytes starting at `addr` into `buf`.
     ///
+    /// A partial word at either end is copied out of its containing word;
+    /// the aligned body is copied one whole word per load.
+    ///
     /// # Panics
     ///
     /// Panics if the range `[addr, addr + buf.len())` is out of bounds.
     pub fn read_bytes(&self, addr: DevAddr, buf: &mut [u8]) {
         self.check(addr, buf.len());
-        let mut pos = addr as usize;
-        let mut out = 0usize;
-        while out < buf.len() {
-            let word_idx = pos / 8;
-            let byte_in_word = pos % 8;
-            let avail = (8 - byte_in_word).min(buf.len() - out);
-            let word = self.words[word_idx].load(Ordering::Relaxed);
-            let bytes = word.to_le_bytes();
-            buf[out..out + avail].copy_from_slice(&bytes[byte_in_word..byte_in_word + avail]);
-            pos += avail;
-            out += avail;
+        let (word_idx, byte_in_word, head) = head_of(addr, buf.len());
+        let (head_buf, body) = buf.split_at_mut(head);
+        if head > 0 {
+            let bytes = self.words[word_idx].load(Ordering::Relaxed).to_le_bytes();
+            head_buf.copy_from_slice(&bytes[byte_in_word..byte_in_word + head]);
+        }
+        let first = word_idx + usize::from(head > 0);
+        let mut chunks = body.chunks_exact_mut(8);
+        let whole = chunks.len();
+        for (chunk, word) in (&mut chunks).zip(&self.words[first..first + whole]) {
+            chunk.copy_from_slice(&word.load(Ordering::Relaxed).to_le_bytes());
+        }
+        let tail = chunks.into_remainder();
+        if !tail.is_empty() {
+            let bytes = self.words[first + whole]
+                .load(Ordering::Relaxed)
+                .to_le_bytes();
+            tail.copy_from_slice(&bytes[..tail.len()]);
         }
     }
 
     /// Writes `data` into the region starting at `addr`.
+    ///
+    /// The aligned body is stored one whole word at a time; a partial word at
+    /// either end is merged into its containing word with a compare-exchange
+    /// loop, so concurrent writers of neighbouring bytes never clobber each
+    /// other.
     ///
     /// # Panics
     ///
     /// Panics if the range `[addr, addr + data.len())` is out of bounds.
     pub fn write_bytes(&self, addr: DevAddr, data: &[u8]) {
         self.check(addr, data.len());
-        let mut pos = addr as usize;
-        let mut consumed = 0usize;
-        while consumed < data.len() {
-            let word_idx = pos / 8;
-            let byte_in_word = pos % 8;
-            let avail = (8 - byte_in_word).min(data.len() - consumed);
-            if avail == 8 {
-                // Fast path: whole aligned word.
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&data[consumed..consumed + 8]);
-                self.words[word_idx].store(u64::from_le_bytes(b), Ordering::Relaxed);
-            } else {
-                // Partial word: read-modify-write loop on the containing word.
-                let mask_bytes: u64 = if avail == 8 {
-                    u64::MAX
-                } else {
-                    ((1u64 << (avail * 8)) - 1) << (byte_in_word * 8)
-                };
-                let mut new_bytes = [0u8; 8];
-                new_bytes[byte_in_word..byte_in_word + avail]
-                    .copy_from_slice(&data[consumed..consumed + avail]);
-                let new_val = u64::from_le_bytes(new_bytes) & mask_bytes;
-                let mut cur = self.words[word_idx].load(Ordering::Relaxed);
-                loop {
-                    let next = (cur & !mask_bytes) | new_val;
-                    match self.words[word_idx].compare_exchange_weak(
-                        cur,
-                        next,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(actual) => cur = actual,
-                    }
-                }
-            }
-            pos += avail;
-            consumed += avail;
+        let (word_idx, byte_in_word, head) = head_of(addr, data.len());
+        let (head_data, body) = data.split_at(head);
+        if head > 0 {
+            self.merge_partial(word_idx, byte_in_word, head_data);
+        }
+        let first = word_idx + usize::from(head > 0);
+        let chunks = body.chunks_exact(8);
+        let tail = chunks.remainder();
+        let whole = chunks.len();
+        for (chunk, word) in chunks.zip(&self.words[first..first + whole]) {
+            let bytes: [u8; 8] = chunk.try_into().expect("8-byte chunk");
+            word.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
+        if !tail.is_empty() {
+            self.merge_partial(first + whole, 0, tail);
         }
     }
 
-    /// Fills `len` bytes starting at `addr` with `value`.
+    /// Stores `data` (at most the rest of the word) at byte `byte_in_word`
+    /// of word `word_idx`, leaving the word's other bytes as they are.
+    fn merge_partial(&self, word_idx: usize, byte_in_word: usize, data: &[u8]) {
+        let mask = (u64::MAX >> (64 - data.len() * 8)) << (byte_in_word * 8);
+        let mut new_bytes = [0u8; 8];
+        new_bytes[byte_in_word..byte_in_word + data.len()].copy_from_slice(data);
+        let new_val = u64::from_le_bytes(new_bytes);
+        let word = &self.words[word_idx];
+        let mut cur = word.load(Ordering::Relaxed);
+        loop {
+            let next = (cur & !mask) | new_val;
+            match word.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => break,
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
+    /// Fills `len` bytes starting at `addr` with `value`, without a
+    /// temporary buffer.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn fill(&self, addr: DevAddr, len: usize, value: u8) {
-        // Chunked to avoid one giant temporary buffer.
-        const CHUNK: usize = 64 * 1024;
-        let chunk = vec![value; len.min(CHUNK)];
-        let mut done = 0usize;
-        while done < len {
-            let n = (len - done).min(CHUNK);
-            self.write_bytes(addr + done as u64, &chunk[..n]);
-            done += n;
+        self.check(addr, len);
+        let (word_idx, byte_in_word, head) = head_of(addr, len);
+        let splat = [value; 8];
+        if head > 0 {
+            self.merge_partial(word_idx, byte_in_word, &splat[..head]);
+        }
+        let first = word_idx + usize::from(head > 0);
+        let whole = (len - head) / 8;
+        for word in &self.words[first..first + whole] {
+            word.store(u64::from_le_bytes(splat), Ordering::Relaxed);
+        }
+        let tail = (len - head) % 8;
+        if tail > 0 {
+            self.merge_partial(first + whole, 0, &splat[..tail]);
         }
     }
 
@@ -260,6 +290,30 @@ mod tests {
         let mut out = [0u8; 11];
         r.read_bytes(3, &mut out);
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn every_offset_and_length_matches_a_byte_model() {
+        let r = ByteRegion::new(47);
+        let mut model = [0u8; 47];
+        let mut next = 1u8;
+        for addr in 0..24usize {
+            for len in 0..=16usize {
+                let data: Vec<u8> = (0..len)
+                    .map(|_| {
+                        next = next.wrapping_mul(31).wrapping_add(7);
+                        next
+                    })
+                    .collect();
+                r.write_bytes(addr as u64, &data);
+                model[addr..addr + len].copy_from_slice(&data);
+                r.fill(addr as u64 + 3, len, next);
+                model[addr + 3..addr + 3 + len].fill(next);
+                let mut out = vec![0xEEu8; len + 5];
+                r.read_bytes(addr as u64, &mut out);
+                assert_eq!(out, model[addr..addr + len + 5], "addr {addr} len {len}");
+            }
+        }
     }
 
     #[test]

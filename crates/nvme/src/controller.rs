@@ -12,7 +12,7 @@ use parking_lot::{Mutex, RwLock};
 
 use bam_mem::ByteRegion;
 
-use crate::block::BlockStore;
+use crate::block::{BlockStore, MediaRun};
 use crate::command::{NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus};
 use crate::hook::{IoEvent, SimHook};
 use crate::queue::QueuePair;
@@ -116,15 +116,25 @@ impl NvmeController {
                 return status;
             }
         }
-        let bs = self.store.block_size();
+        let nblocks = u64::from(cmd.nlb);
+        // DMA moves bytes straight between the media extents and GPU memory,
+        // one extent at a time.
+        let mut dma_addr = cmd.dptr;
         match cmd.opcode {
             NvmeOpcode::Read => {
-                let mut buf = vec![0u8; cmd.nlb as usize * bs];
-                match self.store.read_blocks(cmd.slba, &mut buf) {
+                // DMA write into GPU memory (Figure 2, step Ⓓ). Never-written
+                // blocks are zero-filled in the destination, which may be a
+                // recycled cache slot still holding another line's bytes.
+                let moved = self.store.read_extents(cmd.slba, nblocks, |run| {
+                    match run {
+                        MediaRun::Data(bytes) => self.region.write_bytes(dma_addr, bytes),
+                        MediaRun::Zeroes(len) => self.region.fill(dma_addr, len, 0),
+                    }
+                    dma_addr += run.len() as u64;
+                });
+                match moved {
                     Ok(()) => {
-                        // DMA write into GPU memory (Figure 2, step Ⓓ).
-                        self.region.write_bytes(cmd.dptr, &buf);
-                        self.stats.record_read(u64::from(cmd.nlb));
+                        self.stats.record_read(nblocks);
                         NvmeStatus::Success
                     }
                     Err(_) => {
@@ -134,12 +144,14 @@ impl NvmeController {
                 }
             }
             NvmeOpcode::Write => {
-                let mut buf = vec![0u8; cmd.nlb as usize * bs];
-                // DMA read from GPU memory.
-                self.region.read_bytes(cmd.dptr, &mut buf);
-                match self.store.write_blocks(cmd.slba, &buf) {
+                // DMA read from GPU memory straight into the media.
+                let moved = self.store.write_extents(cmd.slba, nblocks, |dst| {
+                    self.region.read_bytes(dma_addr, dst);
+                    dma_addr += dst.len() as u64;
+                });
+                match moved {
                     Ok(()) => {
-                        self.stats.record_write(u64::from(cmd.nlb));
+                        self.stats.record_write(nblocks);
                         NvmeStatus::Success
                     }
                     Err(_) => {
@@ -319,6 +331,84 @@ mod tests {
         let completion = submit_sync(&h, 0, 1, NvmeCommand::read(9, u64::MAX - 10, 1, dst));
         assert_eq!(completion.status, NvmeStatus::LbaOutOfRange);
         assert_eq!(h.ctrl.stats().snapshot().failed_commands, 1);
+    }
+
+    /// Fills `len` bytes at `addr` with `byte` and returns the address.
+    fn prefilled(h: &Harness, len: usize, byte: u8) -> u64 {
+        let addr = h.alloc.alloc(len as u64, 512).unwrap();
+        h.region.fill(addr, len, byte);
+        addr
+    }
+
+    fn region_bytes(h: &Harness, addr: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        h.region.read_bytes(addr, &mut out);
+        out
+    }
+
+    #[test]
+    fn read_dma_zero_fills_never_written_extents_in_a_stale_destination() {
+        let h = harness(16);
+        // Blocks 250..256 end extent 0 and are resident; extent 1 (blocks
+        // 256..512) was never written. Extent 2 is resident again.
+        let media: Vec<u8> = (0..6 * 512).map(|i| (i % 249 + 1) as u8).collect();
+        h.ctrl.store().write_blocks(250, &media).unwrap();
+        h.ctrl.store().write_blocks(512, &media[..512]).unwrap();
+        // The destination plays a recycled cache slot: stale 0xFF bytes.
+        let dst = prefilled(&h, 10 * 512, 0xFF);
+        let c = submit_sync(&h, 0, 1, NvmeCommand::read(1, 252, 10, dst));
+        assert!(c.status.is_success());
+        let out = region_bytes(&h, dst, 10 * 512);
+        assert_eq!(out[..4 * 512], media[2 * 512..], "resident blocks 252..256");
+        assert!(
+            out[4 * 512..].iter().all(|&b| b == 0),
+            "never-written blocks 256..262 read as zeroes, not stale bytes"
+        );
+        // Unwritten extent first, resident extent second.
+        let dst = prefilled(&h, 4 * 512, 0xFF);
+        let c = submit_sync(&h, 1, 2, NvmeCommand::read(2, 510, 4, dst));
+        assert!(c.status.is_success());
+        let out = region_bytes(&h, dst, 4 * 512);
+        assert!(out[..2 * 512].iter().all(|&b| b == 0));
+        assert_eq!(out[2 * 512..3 * 512], media[..512]);
+        assert!(out[3 * 512..].iter().all(|&b| b == 0));
+        assert_eq!(h.ctrl.stats().snapshot().blocks_read, 14);
+    }
+
+    #[test]
+    fn write_dma_across_an_extent_boundary_round_trips() {
+        let h = harness(16);
+        let data: Vec<u8> = (0..8 * 512).map(|i| (i % 253) as u8).collect();
+        let src = h.alloc.alloc(data.len() as u64, 512).unwrap();
+        h.region.write_bytes(src, &data);
+        let c = submit_sync(&h, 0, 1, NvmeCommand::write(1, 252, 8, src));
+        assert!(c.status.is_success());
+        let mut media = vec![0u8; data.len()];
+        h.ctrl.store().read_blocks(252, &mut media).unwrap();
+        assert_eq!(media, data);
+        let dst = prefilled(&h, data.len(), 0xFF);
+        let c = submit_sync(&h, 1, 2, NvmeCommand::read(2, 252, 8, dst));
+        assert!(c.status.is_success());
+        assert_eq!(region_bytes(&h, dst, data.len()), data);
+        assert_eq!(h.ctrl.store().resident_bytes(), 2 * 256 * 512);
+    }
+
+    #[test]
+    fn out_of_range_dma_leaves_destination_and_media_untouched() {
+        let h = harness(16);
+        let capacity = h.ctrl.store().num_blocks();
+        let dst = prefilled(&h, 4 * 512, 0xAB);
+        let c = submit_sync(&h, 0, 1, NvmeCommand::read(1, capacity - 2, 4, dst));
+        assert_eq!(c.status, NvmeStatus::LbaOutOfRange);
+        assert!(region_bytes(&h, dst, 4 * 512).iter().all(|&b| b == 0xAB));
+        let c = submit_sync(&h, 1, 2, NvmeCommand::write(2, capacity - 2, 4, dst));
+        assert_eq!(c.status, NvmeStatus::LbaOutOfRange);
+        assert_eq!(
+            h.ctrl.store().resident_bytes(),
+            0,
+            "no extent was allocated"
+        );
+        assert_eq!(h.ctrl.stats().snapshot().failed_commands, 2);
     }
 
     #[test]

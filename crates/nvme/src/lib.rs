@@ -44,7 +44,7 @@ pub mod spec;
 pub mod stats;
 
 pub use array::{DataLayout, SsdArray};
-pub use block::BlockStore;
+pub use block::{BlockStore, MediaRun};
 pub use command::{NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus};
 pub use controller::{FaultInjector, NvmeController};
 pub use device::SsdDevice;
